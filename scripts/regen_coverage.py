@@ -26,7 +26,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bits", type=int, default=12, help="modulus exponent J (default 12)")
     parser.add_argument("--mul-cap", type=int, default=50, help="largest multiplier product tried")
-    parser.add_argument("--max-muls", type=int, default=2, help="most multiplications per path")
+    parser.add_argument("--max-muls", type=int, default=2, help="most multiplications per path, 0-2")
     parser.add_argument("--out", type=Path, default=None, help="write the searched table here")
     args = parser.parse_args()
 

@@ -1,11 +1,12 @@
 """Membership certificates for the 3x+1 semigroup and its inverse.
 
-A certificate is a target rational together with a multiset of
-generators with exponents; it proves membership by exact evaluation.
-Side S is generated by 2 and (2k+1)/(3k+2), side W by 1/2 and
-g(k) = (3k+2)/(2k+1).  The wire keyword for the first generator in
-each family is `half` (value 2 on side S, 1/2 on side W), everything
-else is `g <k>`.
+A certificate is a side and a target rational together with a
+multiset of generators with exponents; it proves membership by exact
+evaluation.  Side S is generated by 2 and (2k+1)/(3k+2), side W by
+1/2 and g(k) = (3k+2)/(2k+1), so once the side is known a generator
+is named by its index alone.  The wire keyword for the first
+generator in each family is `half` (value 2 on side S, 1/2 on side W,
+index HALF in code), everything else is `g <k>`.
 
 The module also carries the seven built-in W-certificates for the
 hand-made targets 5, 7, 11, 13, 23, 29, 43, plus a verbatim copy of
@@ -20,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import ONE, format_rational, parse_rational
 
@@ -47,82 +48,57 @@ class CertificateParseError(ValueError):
         super().__init__(f"line {line}: {reason}")
 
 
-@dataclass(frozen=True)
-class GeneratorRef:
-    """One generator of S or W; index None is the `half` token."""
-
-    side: Side
-    index: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.index is not None and self.index < 0:
-            raise ValueError(f"generator index must be nonnegative, got {self.index}")
-
-    @property
-    def is_half(self) -> bool:
-        return self.index is None
-
-    def value(self) -> Fraction:
-        if self.index is None:
-            return Fraction(2) if self.side is Side.S else Fraction(1, 2)
-        k = self.index
-        if self.side is Side.S:
-            return Fraction(2 * k + 1, 3 * k + 2)
-        return Fraction(3 * k + 2, 2 * k + 1)
-
-    def counterpart(self) -> "GeneratorRef":
-        """Same generator slot on the opposite side (reciprocal value)."""
-        return GeneratorRef(self.side.flipped(), self.index)
-
-    def _sort_key(self) -> tuple[int, int]:
-        # half sorts before every indexed generator
-        return (0, 0) if self.index is None else (1, self.index)
-
-    def __str__(self) -> str:
-        return "half" if self.index is None else f"g({self.index})"
+HALF = -1
+# Reserved index of the `half` token.  It sorts before every g(k),
+# k >= 0, so plain tuple order is the canonical factor order.
 
 
-def half_ref(side: Side) -> GeneratorRef:
-    return GeneratorRef(side, None)
+def _s_pair(k: int) -> tuple[int, int]:
+    """(numerator, denominator) of the side-S generator of index k >= HALF."""
+    if k == HALF:
+        return 2, 1
+    # gcd(2k+1, 3k+2) divides 3(2k+1) - 2(3k+2) = -1, so this is reduced
+    return 2 * k + 1, 3 * k + 2
 
 
-def g_ref(side: Side, k: int) -> GeneratorRef:
-    return GeneratorRef(side, k)
+def generator_value(side: Side, k: int) -> Fraction:
+    """The generator of index k on a side: 2 or (2k+1)/(3k+2) on S,
+    their reciprocals on W; k = HALF is the `half` token."""
+    if k < HALF:
+        raise ValueError(f"generator index must be >= 0 or HALF, got {k}")
+    num, den = _s_pair(k)
+    return Fraction(num, den) if side is Side.S else Fraction(den, num)
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Target rational plus generator multiset; immutable and canonical.
+    """Side, target rational and generator multiset; immutable and canonical.
 
-    Construction merges duplicate generators and sorts, so equality is
-    structural.  Nonpositive exponents and side clashes are preserved
-    for verify_certificate to flag; they are not constructor errors.
+    Factors are (index, exponent) pairs on the certificate's side, with
+    index HALF for the `half` token.  Construction merges duplicate
+    indices and sorts, so equality is structural.  Nonpositive exponents
+    are preserved for verify_certificate to flag; they are not
+    constructor errors.
     """
 
     side: Side
     target: Fraction
-    factors: tuple[tuple[GeneratorRef, int], ...]
+    factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if self.target <= 0:
             raise ValueError(f"certificate target must be positive, got {self.target}")
-        merged: dict[GeneratorRef, int] = {}
-        for ref, exp in self.factors:
-            merged[ref] = merged.get(ref, 0) + exp
-        canon = tuple(
-            sorted(merged.items(), key=lambda it: (it[0]._sort_key(), it[0].side.value))
-        )
+        merged: dict[int, int] = {}
+        for k, exp in self.factors:
+            merged[k] = merged.get(k, 0) + exp
+        canon = tuple(sorted(merged.items()))
+        if canon and canon[0][0] < HALF:
+            raise ValueError(f"generator index must be >= 0 or HALF, got {canon[0][0]}")
         object.__setattr__(self, "factors", canon)
 
     @property
     def generator_count(self) -> int:
         return len(self.factors)
-
-    def exponent_of(self, ref: GeneratorRef) -> int:
-        for r, e in self.factors:
-            if r == ref:
-                return e
-        return 0
 
 
 class VerifyStatus(enum.Enum):
@@ -148,37 +124,36 @@ def eval_certificate(cert: Certificate) -> Fraction:
 
     Does not look at the target; an empty factor list is the empty
     product 1.  Numerator and denominator are accumulated as plain
-    integers and reduced once at the end: reducing after every factor
+    integers from the side-S pairs, swapped for negative exponents and
+    for side W, and reduced once at the end: reducing after every factor
     (what a running Fraction product does) spends most of its time in
     gcd on certificates with thousands of factors.
     """
     num = den = 1
-    for ref, exp in cert.factors:
-        value = ref.value() ** exp  # exact for any sign of exp
-        num *= value.numerator
-        den *= value.denominator
+    for k, exp in cert.factors:
+        p, q = _s_pair(k)
+        if exp < 0:
+            p, q, exp = q, p, -exp
+        num *= p**exp
+        den *= q**exp
+    if cert.side is Side.W:
+        num, den = den, num
     return Fraction(num, den)
 
 
 def verify_certificate(cert: Certificate) -> VerifyResult:
     """Pass iff the product equals the target exactly.
 
-    Structural violations (a factor on the wrong side, a nonpositive
-    exponent) come back as INVALID rather than pass/fail, so callers
-    can distinguish a wrong identity from a malformed object.
+    A nonpositive exponent comes back as INVALID rather than pass/fail,
+    so callers can distinguish a wrong identity from a malformed object.
     """
-    for ref, exp in cert.factors:
-        if ref.side is not cert.side:
-            return VerifyResult(
-                VerifyStatus.INVALID,
-                cert.target,
-                reason=f"factor {ref} is on side {ref.side}, certificate is side {cert.side}",
-            )
+    for k, exp in cert.factors:
         if exp < 1:
+            name = "half" if k == HALF else f"g({k})"
             return VerifyResult(
                 VerifyStatus.INVALID,
                 cert.target,
-                reason=f"factor {ref} has nonpositive exponent {exp}",
+                reason=f"factor {name} has nonpositive exponent {exp}",
             )
     product = eval_certificate(cert)
     if product != cert.target:
@@ -192,15 +167,15 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
 
 
 def invert_certificate(cert: Certificate) -> Certificate:
-    """Mirror a verifying certificate to the opposite side, reciprocal target."""
+    """Mirror a verifying certificate to the opposite side, reciprocal target.
+
+    The factors stay as they are: each generator of one side is the
+    reciprocal of the same index on the other.
+    """
     check = verify_certificate(cert)
     if not check.ok:
         raise CertificateError(f"refusing to invert a certificate that does not verify: {check.reason}")
-    return Certificate(
-        side=cert.side.flipped(),
-        target=1 / cert.target,
-        factors=tuple((ref.counterpart(), exp) for ref, exp in cert.factors),
-    )
+    return Certificate(cert.side.flipped(), 1 / cert.target, cert.factors)
 
 
 def multiply_certificates(a: Certificate, b: Certificate) -> Certificate:
@@ -216,7 +191,7 @@ def certificate_power(cert: Certificate, exponent: int) -> Certificate:
     return Certificate(
         cert.side,
         cert.target**exponent,
-        tuple((ref, exp * exponent) for ref, exp in cert.factors),
+        tuple((k, exp * exponent) for k, exp in cert.factors),
     )
 
 
@@ -229,7 +204,7 @@ def identity_certificate(side: Side) -> Certificate:
 #
 # The seven targets below were found by hand, not by the constructive
 # search, and are shipped as data.  Each row is (target, ((k, exp), ...))
-# with k = None meaning the half token.  The row for 13 is repaired:
+# with k = HALF for the half token.  The row for 13 is repaired:
 # the transcription we inherited prints g(5)^3, whose product is
 # 13*(17/11)^2, not 13; with g(5)^1 the row is exactly 11 * (1/2) g(5)
 # g(8) = 13/11 times the row for 11, and it verifies.  The verbatim
@@ -238,15 +213,15 @@ def identity_certificate(side: Side) -> Certificate:
 
 BASE_TARGETS = (5, 7, 11, 13, 23, 29, 43)
 
-_BASE_ROWS: tuple[tuple[int, tuple[tuple[Optional[int], int], ...]], ...] = (
-    (5, ((None, 2), (3, 2), (5, 1), (8, 1), (27, 1), (32, 1), (41, 1))),
-    (7, ((None, 2), (3, 1), (8, 1), (11, 1), (71, 1), (99, 1), (107, 1), (123, 1), (132, 1))),
-    (11, ((None, 2), (3, 2), (8, 1), (11, 1), (71, 1), (99, 1), (107, 1), (123, 1), (132, 1))),
-    (13, ((None, 3), (3, 2), (5, 1), (8, 2), (11, 1), (71, 1), (99, 1), (107, 1), (123, 1), (132, 1))),
+_BASE_ROWS: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = (
+    (5, ((HALF, 2), (3, 2), (5, 1), (8, 1), (27, 1), (32, 1), (41, 1))),
+    (7, ((HALF, 2), (3, 1), (8, 1), (11, 1), (71, 1), (99, 1), (107, 1), (123, 1), (132, 1))),
+    (11, ((HALF, 2), (3, 2), (8, 1), (11, 1), (71, 1), (99, 1), (107, 1), (123, 1), (132, 1))),
+    (13, ((HALF, 3), (3, 2), (5, 1), (8, 2), (11, 1), (71, 1), (99, 1), (107, 1), (123, 1), (132, 1))),
     (
         23,
         (
-            (None, 5),
+            (HALF, 5),
             (3, 1),
             (8, 1),
             (11, 1),
@@ -265,12 +240,12 @@ _BASE_ROWS: tuple[tuple[int, tuple[tuple[Optional[int], int], ...]], ...] = (
     ),
     (
         29,
-        ((None, 5), (3, 4), (5, 2), (8, 2), (9, 1), (12, 1), (27, 2), (32, 2), (41, 2)),
+        ((HALF, 5), (3, 4), (5, 2), (8, 2), (9, 1), (12, 1), (27, 2), (32, 2), (41, 2)),
     ),
     (
         43,
         (
-            (None, 11),
+            (HALF, 11),
             (3, 5),
             (5, 2),
             (8, 3),
@@ -293,9 +268,8 @@ _BASE_ROWS: tuple[tuple[int, tuple[tuple[Optional[int], int], ...]], ...] = (
 )
 
 
-def _w_certificate(target: int, rows: tuple[tuple[Optional[int], int], ...]) -> Certificate:
-    factors = tuple((GeneratorRef(Side.W, k), exp) for k, exp in rows)
-    return Certificate(Side.W, Fraction(target), factors)
+def _w_certificate(target: int, rows: tuple[tuple[int, int], ...]) -> Certificate:
+    return Certificate(Side.W, Fraction(target), rows)
 
 
 def base_table() -> tuple[Certificate, ...]:
@@ -313,7 +287,7 @@ def base_certificate(target: int) -> Certificate:
 # ---------------------------------------------------------------------------
 # Verbatim transcription of the printed table the base certificates
 # came from.  Each target is printed twice: once as explicit fractions
-# (num, den, exp) and once by generator index (k, exp), k = None for
+# (num, den, exp) and once by generator index (k, exp), k = HALF for
 # the leading (1/2)^e.  Two rows are defective and the checker below
 # must say so:
 #   - 13: both printed lines multiply to 3757/121, not 13 (the g(5)
@@ -408,12 +382,12 @@ RAW_FRACTION_LINES: dict[int, tuple[tuple[int, int, int], ...]] = {
     ),
 }
 
-RAW_GINDEX_LINES: dict[int, tuple[tuple[Optional[int], int], ...]] = {
+RAW_GINDEX_LINES: dict[int, tuple[tuple[int, int], ...]] = {
     target: rows for target, rows in _BASE_ROWS
 }
 # the printed index line for 13 has the same defect as its fraction line
 RAW_GINDEX_LINES[13] = (
-    (None, 3),
+    (HALF, 3),
     (3, 2),
     (5, 3),
     (8, 2),
@@ -436,16 +410,16 @@ class RawRowReport:
         return not self.issues
 
 
-def _index_for_fraction(num: int, den: int) -> Optional[int] | str:
-    """Map a printed fraction to its generator index; 1/2 maps to the
-    half token (None), anything that is no g(k) maps to 'no-match'."""
+def _index_for_fraction(num: int, den: int) -> Optional[int]:
+    """Map a printed fraction to its generator index; 1/2 maps to HALF,
+    anything that is no wild generator maps to None."""
     if (num, den) == (1, 2):
-        return None
+        return HALF
     if num % 3 == 2:
         k = (num - 2) // 3
         if den == 2 * k + 1:
             return k
-    return "no-match"
+    return None
 
 
 def raw_base_table_report(check_fraction_lines: bool = True) -> tuple[RawRowReport, ...]:
@@ -463,7 +437,7 @@ def raw_base_table_report(check_fraction_lines: bool = True) -> tuple[RawRowRepo
         gindex = RAW_GINDEX_LINES[target]
         product = ONE
         for k, exp in gindex:
-            product *= GeneratorRef(Side.W, k).value() ** exp
+            product *= generator_value(Side.W, k) ** exp
         if product != target:
             issues.append(
                 f"index line multiplies to {format_rational(product)}, not {target}"
@@ -471,11 +445,11 @@ def raw_base_table_report(check_fraction_lines: bool = True) -> tuple[RawRowRepo
         if check_fraction_lines:
             fline = RAW_FRACTION_LINES[target]
             fproduct = ONE
-            mapped: dict[Optional[int], int] = {}
+            mapped: dict[int, int] = {}
             for num, den, exp in fline:
                 fproduct *= Fraction(num, den) ** exp
                 k = _index_for_fraction(num, den)
-                if k == "no-match":
+                if k is None:
                     issues.append(f"printed fraction {num}/{den} is not any wild generator")
                 else:
                     mapped[k] = mapped.get(k, 0) + exp
@@ -483,7 +457,7 @@ def raw_base_table_report(check_fraction_lines: bool = True) -> tuple[RawRowRepo
                 issues.append(
                     f"fraction line multiplies to {format_rational(fproduct)}, not {target}"
                 )
-            if all(_index_for_fraction(n, d) != "no-match" for n, d, _ in fline):
+            if all(_index_for_fraction(n, d) is not None for n, d, _ in fline):
                 if mapped != {k: e for k, e in gindex}:
                     issues.append("fraction line and index line disagree as multisets")
         reports.append(RawRowReport(target, tuple(issues)))
@@ -503,15 +477,11 @@ def raw_base_table_report(check_fraction_lines: bool = True) -> tuple[RawRowRepo
 
 
 def serialize_certificate(cert: Certificate) -> str:
-    check_side = all(ref.side is cert.side for ref, _ in cert.factors)
-    if not check_side or any(exp < 1 for _, exp in cert.factors):
+    if any(exp < 1 for _, exp in cert.factors):
         raise CertificateError("cannot serialize a structurally invalid certificate")
     lines = [f"CERT v1 {cert.side}", f"target {format_rational(cert.target)}"]
-    for ref, exp in cert.factors:  # canonical order: half first, then k ascending
-        if ref.is_half:
-            lines.append(f"half {exp}")
-        else:
-            lines.append(f"g {ref.index} {exp}")
+    for k, exp in cert.factors:  # canonical order: half first, then k ascending
+        lines.append(f"half {exp}" if k == HALF else f"g {k} {exp}")
     return "\n".join(lines) + "\n"
 
 
@@ -528,7 +498,7 @@ def _parse_exp(token: str, lineno: int) -> int:
 def parse_certificate(text: str) -> Certificate:
     side: Optional[Side] = None
     target: Optional[Fraction] = None
-    factors: list[tuple[GeneratorRef, int]] = []
+    factors: list[tuple[int, int]] = []
     seen_half = False
     last_k = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -565,7 +535,7 @@ def parse_certificate(text: str) -> Certificate:
             if seen_half:
                 raise CertificateParseError(lineno, "duplicate half line")
             seen_half = True
-            factors.append((GeneratorRef(side, None), _parse_exp(parts[1], lineno)))
+            factors.append((HALF, _parse_exp(parts[1], lineno)))
             continue
         if parts[0] == "g":
             if len(parts) != 3:
@@ -579,7 +549,7 @@ def parse_certificate(text: str) -> Certificate:
             if k <= last_k:
                 raise CertificateParseError(lineno, f"g lines must be strictly sorted by k, got {k} after {last_k}")
             last_k = k
-            factors.append((GeneratorRef(side, k), _parse_exp(parts[2], lineno)))
+            factors.append((k, _parse_exp(parts[2], lineno)))
             continue
         raise CertificateParseError(lineno, f"unknown line keyword {parts[0]!r}")
     if side is None:

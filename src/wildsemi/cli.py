@@ -1,9 +1,10 @@
 """Command-line front end for certificates, covers and the induction run.
 
 Exit codes are stable across every command: 0 success, 1 mathematical
-failure, 2 usage or parse error, 3 budget exhaustion.  Results are
-printed to stdout as line-oriented key=value pairs so runs diff
-cleanly; progress chatter goes to stderr only.
+failure (a failed internal check included), 2 usage or parse error,
+3 budget exhaustion.  Results are printed to stdout as line-oriented
+key=value pairs so runs diff cleanly; progress chatter goes to stderr
+only.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .wildprove import (
     InductionError,
     NotInSemigroupError,
     SmoothPairExhaustionError,
+    VerificationError,
     WildContext,
     find_smooth_pair,
     induction_driver,
@@ -339,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--regen", action="store_true", help="search the cover from scratch")
     p.add_argument("--bits", type=int, required=True, help="modulus exponent J")
     p.add_argument("--mul-cap", type=int, default=None, help="largest multiplier product tried")
-    p.add_argument("--max-muls", type=int, default=None, help="most multiplications per path")
+    p.add_argument("--max-muls", type=int, default=None, help="most multiplications per path, 0-2")
     p.add_argument("--out", type=Path, default=None, help="also write the table here")
 
     p = sub.add_parser("search", help="decreasing-path search under one residue class")
@@ -456,6 +458,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit("status", "budget_exhausted")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except VerificationError as exc:
+        _emit("status", "fail")
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MATH
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except ValueError as exc:

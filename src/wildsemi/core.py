@@ -109,10 +109,3 @@ def trajectory_to_one(n: int, max_steps: int = DEFAULT_TRAJECTORY_BUDGET) -> Tra
         values.append(v)
     return Trajectory(start=n, values=tuple(values), reached_one=values[-1] == 1)
 
-
-def gen_w(k: int) -> Fraction:
-    """The k-th wild generator (3k+2)/(2k+1), already coprime for every k."""
-    if k < 0:
-        raise ValueError(f"generator index must be nonnegative, got {k}")
-    # gcd(3k+2, 2k+1) divides 2(3k+2) - 3(2k+1) = 1
-    return Fraction(3 * k + 2, 2 * k + 1)

@@ -200,25 +200,28 @@ def worst_ratio(cls: ResidueClass, amap: AffineMap) -> Fraction:
 
 @dataclass(frozen=True)
 class PathRecord:
-    """A step sequence on a class with its exact map, ratios and witness.
+    """A step sequence on a class with its exact map and worst ratio.
 
-    Cross-field coherence (ratios really belonging to the steps, the
-    witness replaying) is deliberately not a construction-time check:
-    records loaded from a file keep whatever the file claims, and
-    verify_record is the arbiter.  Use make_path_record to build honest
-    records in code.
+    Cross-field coherence (the map and ratio really belonging to the
+    steps) is deliberately not a construction-time check: records
+    loaded from a file keep whatever the file claims, and verify_record
+    is the arbiter.  Use make_path_record to build honest records in
+    code.  The asymptotic ratio is map.c.
     """
 
     cls: ResidueClass
     steps: tuple[str, ...]
     map: AffineMap
-    asymptotic_ratio: Fraction
     worst_ratio: Fraction
-    witness: tuple[int, ...]
 
     @property
     def bits(self) -> str:
         return class_bits(self.cls)
+
+    @property
+    def witness(self) -> tuple[int, ...]:
+        """The steps replayed from the smallest class element."""
+        return replay_steps(self.cls.smallest_element, self.steps)
 
     @property
     def multipliers(self) -> tuple[int, ...]:
@@ -227,14 +230,7 @@ class PathRecord:
 
 def make_path_record(cls: ResidueClass, steps: Sequence[str]) -> PathRecord:
     amap = symbolic_apply(cls, steps)
-    return PathRecord(
-        cls=cls,
-        steps=tuple(steps),
-        map=amap,
-        asymptotic_ratio=amap.c,
-        worst_ratio=worst_ratio(cls, amap),
-        witness=replay_steps(cls.smallest_element, steps),
-    )
+    return PathRecord(cls=cls, steps=tuple(steps), map=amap, worst_ratio=worst_ratio(cls, amap))
 
 
 def verify_record(record: PathRecord) -> tuple[str, ...]:
@@ -246,8 +242,6 @@ def verify_record(record: PathRecord) -> tuple[str, ...]:
         return (f"steps do not fit the class: {exc}",)
     if amap != record.map:
         issues.append(f"stored map ({record.map.c}, {record.map.d}) != recomputed ({amap.c}, {amap.d})")
-    if record.asymptotic_ratio != amap.c:
-        issues.append(f"stored asymptotic ratio {record.asymptotic_ratio} != c = {amap.c}")
     true_worst = worst_ratio(record.cls, amap)
     if record.worst_ratio != true_worst:
         issues.append(f"stored worst ratio {record.worst_ratio} != recomputed {true_worst}")
@@ -275,10 +269,7 @@ def verify_record(record: PathRecord) -> tuple[str, ...]:
     if amap.c != expected_c:
         issues.append(f"c = {amap.c} does not factor as 3^{l} * {mprod} / 2^{record.cls.j}")
     n0 = record.cls.smallest_element
-    witness = replay_steps(n0, record.steps)
-    if record.witness != witness:
-        issues.append("stored witness does not replay")
-    final = witness[-1]
+    final = record.witness[-1]
     if Fraction(final) != amap.apply(n0):
         issues.append(f"witness final value {final} != c*n0 + d = {amap.apply(n0)}")
     return tuple(issues)
@@ -296,8 +287,9 @@ class SearchLimits:
     mul_cap: int = 50  # admits 25 = 5*5 and 35 = 5*7 over the default base
 
     def __post_init__(self) -> None:
-        if self.max_depth < 1 or self.max_muls < 0 or self.mul_cap < 1:
-            raise ValueError(f"nonsensical search limits {self}")
+        # the search explores at most two multiplication sites
+        if self.max_depth < 1 or not 0 <= self.max_muls <= 2 or self.mul_cap < 1:
+            raise ValueError(f"nonsensical search limits {self}; max_muls must be in 0..2")
 
 
 def multiplier_products(base: Iterable[int], cap: int) -> tuple[int, ...]:
@@ -360,8 +352,6 @@ def find_decreasing_steps(
                     return tuple(steps)
             # both multipliers at distinct spots only; a shared spot is
             # the single product m1*m2, already tried if under the cap
-    if limits.max_muls > 2:
-        raise NotImplementedError("search explores at most two multiplication sites")
     return None
 
 
@@ -662,16 +652,7 @@ def load_coverage(text: str, modulus_exponent: int = 12) -> CoverageTable:
                 step_multiplier(s)
             except ClassMapError as exc:
                 raise CoverageParseError(lineno, str(exc)) from None
-        records.append(
-            PathRecord(
-                cls=cls,
-                steps=steps,
-                map=AffineMap(c, d),
-                asymptotic_ratio=c,
-                worst_ratio=worst,
-                witness=replay_steps(cls.smallest_element, steps),
-            )
-        )
+        records.append(PathRecord(cls=cls, steps=steps, map=AffineMap(c, d), worst_ratio=worst))
     if not records:
         raise CoverageParseError(1, "empty coverage table")
     return CoverageTable(records=tuple(records), modulus_exponent=modulus_exponent)

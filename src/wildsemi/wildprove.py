@@ -30,7 +30,7 @@ import numpy as np
 from .certify import (
     BASE_TARGETS,
     Certificate,
-    GeneratorRef,
+    HALF,
     Side,
     base_certificate,
     certificate_power,
@@ -62,6 +62,14 @@ class BudgetExhaustedError(RuntimeError):
 
 class SmoothPairExhaustionError(RuntimeError):
     """No q-smooth pair below 6q hits the progression; small q only."""
+
+
+class VerificationError(RuntimeError):
+    """An exact check inside a construction failed.
+
+    Raised explicitly rather than by assert so the check still runs
+    under python -O.
+    """
 
 
 class InductionError(RuntimeError):
@@ -172,7 +180,8 @@ def compute_a_r(q: int) -> tuple[int, int]:
         raise ValueError(f"q must be prime, got {q}")
     a = next(a for a in range(1, 9) if (a * q) % 9 == 8)
     r, rem = divmod(2 * a * q - 1, 3)
-    assert rem == 0 and r % 6 == 5 and math.gcd(r, 6 * q) == 1
+    if rem != 0 or r % 6 != 5 or math.gcd(r, 6 * q) != 1:
+        raise VerificationError(f"r = {r} is not (2aq-1)/3, 5 mod 6, prime to 6q for q = {q}")
     return a, r
 
 
@@ -463,7 +472,7 @@ class WildContext:
         self.store = store
         self._coverage = coverage
         self.certificates: dict[int, Certificate] = {
-            2: Certificate(Side.W, Fraction(2), ((GeneratorRef(Side.W, 0), 1),)),
+            2: Certificate(Side.W, Fraction(2), ((0, 1),)),
         }
         for seed in (5, 7, 11):
             self.certificates[seed] = base_certificate(seed)
@@ -515,17 +524,12 @@ def s_certificate_for_integer(
         raise BudgetExhaustedError(
             f"trajectory of {n} did not reach 1 within {budget} steps"
         )
-    factors: list[tuple[GeneratorRef, int]] = []
-    for v in traj.values[:-1]:
-        if v & 1:
-            factors.append((GeneratorRef(Side.S, (v - 1) // 2), 1))
-        else:
-            factors.append((GeneratorRef(Side.S, None), 1))
-    factors.append((GeneratorRef(Side.S, None), 1))
-    factors.append((GeneratorRef(Side.S, 0), 1))
+    factors = [((v - 1) >> 1 if v & 1 else HALF, 1) for v in traj.values[:-1]]
+    factors += [(HALF, 1), (0, 1)]
     cert = Certificate(Side.S, Fraction(n), tuple(factors))
     check = verify_certificate(cert)
-    assert check.ok, f"trajectory certificate for {n} failed: {check.reason}"
+    if not check.ok:
+        raise VerificationError(f"trajectory certificate for {n} failed: {check.reason}")
     return cert
 
 
@@ -537,16 +541,19 @@ def _witness_certificate(witness: SmoothWitness, context: WildContext) -> Certif
     middle = Certificate(
         Side.W,
         Fraction(3 * witness.l + 2, 2 * witness.l + 1),
-        ((GeneratorRef(Side.W, witness.l), 1),),
+        ((witness.l, 1),),
     )
     cert = multiply_certificates(inv_n, middle)
     for p, e in sorted(factorize(witness.s1 * witness.s2).items()):
         dep = context.recall(p)
-        assert dep is not None, f"dependency {p} missing while assembling {witness.q}"
+        if dep is None:
+            raise VerificationError(f"dependency {p} missing while assembling {witness.q}")
         cert = multiply_certificates(cert, certificate_power(dep, e))
-    assert cert.target == witness.q, f"assembled target {cert.target} != {witness.q}"
+    if cert.target != witness.q:
+        raise VerificationError(f"assembled target {cert.target} != {witness.q}")
     check = verify_certificate(cert)
-    assert check.ok, f"assembled certificate for {witness.q} failed: {check.reason}"
+    if not check.ok:
+        raise VerificationError(f"assembled certificate for {witness.q} failed: {check.reason}")
     return cert
 
 
@@ -621,7 +628,8 @@ def s_certificate_for_rational(
             cert, invert_certificate(w_certificate_for_integer(x.denominator, context))
         )
     check = verify_certificate(cert)
-    assert check.ok, f"rational certificate for {x} failed: {check.reason}"
+    if not check.ok:
+        raise VerificationError(f"rational certificate for {x} failed: {check.reason}")
     return cert
 
 
@@ -636,26 +644,30 @@ def lift_minus_one(x: int, k: int, j: int) -> tuple[int, int]:
     The result is exactly x + (x+1)/2^j, still -1 mod 2^(k-j), and if x
     was not -1 mod 2^(k+1) the result is not -1 mod 2^(k+1-j): the lift
     walks the -1 congruence down without ever re-entering it deeper.
-    Returns (m, result); the identities are asserted, not trusted.
+    Returns (m, result); the identities are checked, not trusted.
     """
     if x < 1 or k < 1 or (x + 1) % (1 << k) != 0:
         raise ValueError(f"x = {x} is not a positive member of -1 mod 2^{k}")
     if not (1 <= j <= k) or j % 6 not in (1, 5):
         raise ValueError(f"j = {j} must satisfy 1 <= j <= k and j = 1 or 5 mod 6")
     m, rem = divmod((1 << j) + 1, 3)
-    assert rem == 0 and m % 6 in (1, 5)
+    if rem != 0 or m % 6 not in (1, 5):
+        raise VerificationError(f"multiplier (2^{j} + 1)/3 is not a unit mod 6")
     result = t_iterate(m * x, j)
-    assert result == x + (x + 1) // (1 << j), "lift identity failed"
-    assert (result + 1) % (1 << (k - j)) == 0, "result escaped -1 mod 2^(k-j)"
-    if (x + 1) % (1 << (k + 1)) != 0:
-        assert (result + 1) % (1 << (k + 1 - j)) != 0, "conditional congruence failed"
+    if result != x + (x + 1) // (1 << j):
+        raise VerificationError(f"lift identity failed for x = {x}, j = {j}")
+    if (result + 1) % (1 << (k - j)) != 0:
+        raise VerificationError(f"lift of {x} escaped -1 mod 2^{k - j}")
+    if (x + 1) % (1 << (k + 1)) != 0 and (result + 1) % (1 << (k + 1 - j)) == 0:
+        raise VerificationError(f"lift of {x} re-entered -1 mod 2^{k + 1 - j}")
     return m, result
 
 
 def reduction_exponent(k: int) -> int:
     """j = k - 5 - (k mod 6); lands in [k-10, k-5], is 1 mod 6, >= 7 for k >= 12."""
     j = k - 5 - (k % 6)
-    assert j % 6 == 1 and k - 10 <= j <= k - 5 and (k < 12 or j >= 7)
+    if j % 6 != 1 or not (k - 10 <= j <= k - 5) or (k >= 12 and j < 7):
+        raise VerificationError(f"reduction exponent {j} out of range for k = {k}")
     return j
 
 
@@ -695,31 +707,33 @@ def onestep_reduce(x: int, k: int, context: Optional[WildContext] = None) -> Red
     j = reduction_exponent(k)
     m_cert = w_certificate_for_integer(((1 << j) + 1) // 3, context)
     m, y = lift_minus_one(x, k, j)
-    assert (y + 1) % (1 << 11) != 0, "intermediate re-entered -1 mod 2^11"
+    if (y + 1) % (1 << 11) == 0:
+        raise VerificationError(f"intermediate {y} re-entered -1 mod 2^11")
     record = context.coverage.record_for(y)
     steps = (f"x{m}",) + ("T",) * j + record.steps
     values = replay_steps(x, steps)
-    assert values[j + 1] == y, "replay disagrees with the lift"
+    if values[j + 1] != y:
+        raise VerificationError(f"replay disagrees with the lift at x = {x}")
     z_exact = record.map.apply(y)
     z = values[-1]
-    assert z == z_exact, f"replay result {z} != affine map value {z_exact}"
+    if z != z_exact:
+        raise VerificationError(f"replay result {z} != affine map value {z_exact}")
     ratio = Fraction(z, x)
-    assert ratio <= ONESTEP_BOUND, f"ratio {ratio} exceeds {ONESTEP_BOUND}"
+    if ratio > ONESTEP_BOUND:
+        raise VerificationError(f"ratio {ratio} exceeds {ONESTEP_BOUND}")
     # the applied wild element, factor by factor: m itself, one wild
     # generator per T step (1/2 on even values, g((v-1)/2) on odd), and
     # the record's multipliers decomposed over the base
     factors = list(m_cert.factors)
     for idx, (step, v) in enumerate(zip(steps, values)):
         if step == "T":
-            if v & 1:
-                factors.append((GeneratorRef(Side.W, (v - 1) // 2), 1))
-            else:
-                factors.append((GeneratorRef(Side.W, None), 1))
+            factors.append(((v - 1) >> 1 if v & 1 else HALF, 1))
         elif idx > 0:  # the leading multiplication is m_cert already
             factors.extend(w_certificate_for_integer(int(step[1:]), context).factors)
     wild = Certificate(Side.W, ratio, tuple(factors))
     check = verify_certificate(wild)
-    assert check.ok, f"wild step certificate failed: {check.reason}"
+    if not check.ok:
+        raise VerificationError(f"wild step certificate for x = {x} failed: {check.reason}")
     return ReduceTrace(
         x=x,
         k=k,
@@ -876,7 +890,7 @@ def induction_driver(
                 x = c * (1 << t) - 1
                 try:
                     trace = onestep_reduce(x, t, context)
-                except (ValueError, AssertionError, SmoothPairExhaustionError) as exc:
+                except (ValueError, VerificationError, SmoothPairExhaustionError) as exc:
                     raise InductionError(k, 1, x, str(exc)) from exc
                 if trace.ratio > worst_sample:
                     worst_sample, worst_x = trace.ratio, x

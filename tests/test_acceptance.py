@@ -77,13 +77,14 @@ def test_acceptance_02_shipped_cover_fixture():
         verdict = verify_coverage_table(table)
         assert verdict.ok, verdict.issues
         by_class = {(r.cls.residue, r.cls.j): r for r in table.records}
-        assert by_class[(27, 7)].asymptotic_ratio == Fraction(117, 128)
+        assert by_class[(27, 7)].map.c == Fraction(117, 128)
         assert by_class[(27, 7)].worst_ratio == Fraction(25, 27)
-        assert by_class[(91, 8)].asymptotic_ratio == Fraction(225, 256)
+        assert by_class[(91, 8)].map.c == Fraction(225, 256)
         assert by_class[(91, 8)].worst_ratio == Fraction(80, 91)
         assert by_class[(79, 8)].worst_ratio == Fraction(76, 79)
         for record in table.records:
-            assert replay_steps(record.cls.smallest_element, record.steps) == record.witness
+            n0 = record.cls.smallest_element
+            assert replay_steps(n0, record.steps)[-1] == record.map.apply(n0)
         assert table.worst == Fraction(76, 79)
 
 

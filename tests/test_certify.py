@@ -9,15 +9,14 @@ from wildsemi.certify import (
     Certificate,
     CertificateError,
     CertificateParseError,
-    GeneratorRef,
+    HALF,
     Side,
     VerifyStatus,
     base_certificate,
     base_table,
     certificate_power,
     eval_certificate,
-    g_ref,
-    half_ref,
+    generator_value,
     identity_certificate,
     invert_certificate,
     multiply_certificates,
@@ -26,31 +25,36 @@ from wildsemi.certify import (
     serialize_certificate,
     verify_certificate,
 )
-from wildsemi.core import gen_w
 
 
-class TestGeneratorRef:
+class TestGeneratorValue:
     def test_half_values(self):
-        assert half_ref(Side.S).value() == 2
-        assert half_ref(Side.W).value() == Fraction(1, 2)
+        assert generator_value(Side.S, HALF) == 2
+        assert generator_value(Side.W, HALF) == Fraction(1, 2)
 
     def test_indexed_values_are_reciprocal(self):
         for k in (0, 1, 5, 132):
-            s, w = g_ref(Side.S, k).value(), g_ref(Side.W, k).value()
+            s, w = generator_value(Side.S, k), generator_value(Side.W, k)
             assert s * w == 1
-            assert w == gen_w(k)
+            assert w == Fraction(3 * k + 2, 2 * k + 1)
 
-    def test_counterpart_flips_side_only(self):
-        ref = g_ref(Side.S, 7)
-        assert ref.counterpart() == g_ref(Side.W, 7)
-        assert ref.counterpart().value() == 1 / ref.value()
+    def test_invert_flips_side_only(self):
+        cert = Certificate(Side.S, Fraction(15, 23), ((7, 1),))
+        inv = invert_certificate(cert)
+        assert inv.side is Side.W and inv.factors == cert.factors
+        assert inv.target == 1 / cert.target == generator_value(Side.W, 7)
 
     def test_side_matters_for_equality(self):
-        assert g_ref(Side.S, 5) != g_ref(Side.W, 5)
+        assert generator_value(Side.S, 5) != generator_value(Side.W, 5)
+        assert Certificate(Side.S, Fraction(2), ((HALF, 1),)) != Certificate(
+            Side.W, Fraction(2), ((HALF, 1),)
+        )
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
-            GeneratorRef(Side.W, -1)
+            generator_value(Side.W, HALF - 1)
+        with pytest.raises(ValueError):
+            Certificate(Side.W, Fraction(1), ((HALF - 1, 1),))
 
 
 class TestCertificateShape:
@@ -58,10 +62,10 @@ class TestCertificateShape:
         cert = Certificate(
             Side.W,
             Fraction(4),
-            ((g_ref(Side.W, 0), 1), (half_ref(Side.W), 2), (g_ref(Side.W, 0), 1)),
+            ((0, 1), (HALF, 2), (0, 1)),
         )
         # half first, then ascending k, duplicates merged
-        assert cert.factors == ((half_ref(Side.W), 2), (g_ref(Side.W, 0), 2))
+        assert cert.factors == ((HALF, 2), (0, 2))
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
@@ -75,34 +79,28 @@ class TestCertificateShape:
 
 class TestVerify:
     def test_pass(self):
-        cert = Certificate(Side.W, Fraction(2), ((g_ref(Side.W, 0), 1),))
+        cert = Certificate(Side.W, Fraction(2), ((0, 1),))
         result = verify_certificate(cert)
         assert result.ok and result.status is VerifyStatus.PASS
         assert result.evaluated == 2
 
     def test_mismatch_reports_product(self):
-        cert = Certificate(Side.W, Fraction(3), ((g_ref(Side.W, 0), 1),))
+        cert = Certificate(Side.W, Fraction(3), ((0, 1),))
         result = verify_certificate(cert)
         assert result.status is VerifyStatus.MISMATCH
         assert result.evaluated == 2
         assert "2/1" in result.reason and "3/1" in result.reason
 
-    def test_wrong_side_factor_is_invalid(self):
-        cert = Certificate(Side.W, Fraction(2), ((g_ref(Side.S, 0), 1),))
-        assert verify_certificate(cert).status is VerifyStatus.INVALID
-
     def test_nonpositive_exponent_is_invalid(self):
-        cert = Certificate(Side.W, Fraction(1), ((g_ref(Side.W, 3), 0),))
+        cert = Certificate(Side.W, Fraction(1), ((3, 0),))
         assert verify_certificate(cert).status is VerifyStatus.INVALID
 
     @given(st.integers(0, 400), st.integers(1, 6), st.integers(0, 8))
     def test_handmade_products(self, k, e, h):
-        target = gen_w(k) ** e / 2**h
-        cert = Certificate(
-            Side.W, target, ((half_ref(Side.W), h), (g_ref(Side.W, k), e))
-        )
+        target = Fraction(3 * k + 2, 2 * k + 1) ** e / 2**h
+        cert = Certificate(Side.W, target, ((HALF, h), (k, e)))
         if h == 0:
-            cert = Certificate(Side.W, target, ((g_ref(Side.W, k), e),))
+            cert = Certificate(Side.W, target, ((k, e),))
         assert verify_certificate(cert).ok
 
 
@@ -116,20 +114,20 @@ class TestAlgebra:
         assert invert_certificate(inv) == cert
 
     def test_invert_refuses_broken(self):
-        broken = Certificate(Side.W, Fraction(3), ((g_ref(Side.W, 0), 1),))
+        broken = Certificate(Side.W, Fraction(3), ((0, 1),))
         with pytest.raises(CertificateError):
             invert_certificate(broken)
 
     def test_multiply_merges(self):
-        two = Certificate(Side.W, Fraction(2), ((g_ref(Side.W, 0), 1),))
+        two = Certificate(Side.W, Fraction(2), ((0, 1),))
         four = multiply_certificates(two, two)
         assert four.target == 4
-        assert four.factors == ((g_ref(Side.W, 0), 2),)
+        assert four.factors == ((0, 2),)
         assert verify_certificate(four).ok
 
     def test_multiply_rejects_cross_side(self):
-        two = Certificate(Side.W, Fraction(2), ((g_ref(Side.W, 0), 1),))
-        half = Certificate(Side.S, Fraction(2), ((half_ref(Side.S), 1),))
+        two = Certificate(Side.W, Fraction(2), ((0, 1),))
+        half = Certificate(Side.S, Fraction(2), ((HALF, 1),))
         with pytest.raises(CertificateError):
             multiply_certificates(two, half)
 
@@ -162,7 +160,7 @@ class TestBaseTable:
         extra = Certificate(
             Side.W,
             Fraction(13, 11),
-            ((half_ref(Side.W), 1), (g_ref(Side.W, 5), 1), (g_ref(Side.W, 8), 1)),
+            ((HALF, 1), (5, 1), (8, 1)),
         )
         assert verify_certificate(extra).ok
         assert multiply_certificates(eleven, extra) == base_certificate(13)
@@ -193,7 +191,7 @@ class TestRawTranscription:
 
 
 FACTOR_LISTS = st.lists(
-    st.tuples(st.one_of(st.none(), st.integers(0, 300)), st.integers(1, 9)),
+    st.tuples(st.integers(HALF, 300), st.integers(1, 9)),
     min_size=0,
     max_size=12,
     unique_by=lambda pair: pair[0],
@@ -202,13 +200,11 @@ FACTOR_LISTS = st.lists(
 
 class TestWireFormat:
     def test_serialized_shape(self):
-        cert = Certificate(
-            Side.S, Fraction(1), ((half_ref(Side.S), 1), (g_ref(Side.S, 0), 1))
-        )
+        cert = Certificate(Side.S, Fraction(1), ((HALF, 1), (0, 1)))
         assert serialize_certificate(cert) == "CERT v1 S\ntarget 1/1\nhalf 1\ng 0 1\n"
 
     def test_refuses_invalid(self):
-        bad = Certificate(Side.W, Fraction(2), ((g_ref(Side.S, 0), 1),))
+        bad = Certificate(Side.W, Fraction(2), ((0, 0),))
         with pytest.raises(CertificateError):
             serialize_certificate(bad)
 
@@ -218,10 +214,14 @@ class TestWireFormat:
         assert cert.target == 2 and verify_certificate(cert).ok
 
     @given(st.sampled_from([Side.S, Side.W]), FACTOR_LISTS)
-    def test_round_trip(self, side, raw_factors):
-        factors = tuple((GeneratorRef(side, k), e) for k, e in raw_factors)
-        cert = Certificate(side, Fraction(7, 5), factors)
+    def test_round_trip(self, side, factors):
+        cert = Certificate(side, Fraction(7, 5), tuple(factors))
         assert parse_certificate(serialize_certificate(cert)) == cert
+        # reference product: one reduced Fraction per generator
+        product = Fraction(1)
+        for k, e in factors:
+            product *= generator_value(side, k) ** e
+        assert eval_certificate(cert) == product
 
     @pytest.mark.parametrize(
         "text,lineno,fragment",

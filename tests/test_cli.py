@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from wildsemi import cli
 from wildsemi.cli import (
     EXIT_BUDGET,
     EXIT_MATH,
@@ -15,6 +16,7 @@ from wildsemi.cli import (
     main,
 )
 from wildsemi.residue import dump_coverage, load_builtin_coverage
+from wildsemi.wildprove import VerificationError
 
 
 def run(capsys, *argv):
@@ -112,6 +114,16 @@ class TestProveCommand:
         assert kv(out)["status"] == "budget_exhausted"
         assert "did not reach 1" in err
 
+    def test_failed_internal_check_is_a_math_failure(self, capsys, tmp_path, monkeypatch):
+        def broken(m, context):
+            raise VerificationError(f"forced failure for {m}")
+
+        monkeypatch.setattr(cli, "w_certificate_for_integer", broken)
+        code, out, err = run(capsys, "prove", "w", "13", "--out", str(tmp_path / "x"))
+        assert code == EXIT_MATH
+        assert kv(out)["status"] == "fail"
+        assert err.startswith("error: forced failure for 13")
+
     def test_store_reuse(self, capsys, tmp_path):
         store = tmp_path / "cache"
         code, _, _ = run(
@@ -197,6 +209,8 @@ class TestCoverageCommand:
         assert run(capsys, "coverage", "--fixture", "--bits", "0")[0] == EXIT_USAGE
         assert run(capsys, "coverage", "--fixture", "--bits", "65")[0] == EXIT_USAGE
         assert run(capsys, "coverage", "--regen", "--bits", "4", "--mul-cap", "0")[0] == EXIT_USAGE
+        code, _, err = run(capsys, "coverage", "--regen", "--bits", "12", "--max-muls", "3")
+        assert code == EXIT_USAGE and err.startswith("error:") and "max_muls" in err
 
 
 class TestSearchCommand:

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wildsemi.certify import HALF, Side, generator_value
 from wildsemi.core import (
     DEFAULT_TRAJECTORY_BUDGET,
     Trajectory,
     format_rational,
-    gen_w,
     parse_rational,
     pos_rational,
     t_iterate,
@@ -126,22 +126,24 @@ class TestRationals:
 
 
 class TestGenW:
+    """The wild generators (3k+2)/(2k+1), read through generator_value."""
+
     def test_first_generators(self):
-        assert gen_w(0) == 2
-        assert gen_w(1) == Fraction(5, 3)
-        assert gen_w(5) == Fraction(17, 11)
+        assert generator_value(Side.W, 0) == 2
+        assert generator_value(Side.W, 1) == Fraction(5, 3)
+        assert generator_value(Side.W, 5) == Fraction(17, 11)
 
     @given(st.integers(min_value=0, max_value=10**9))
     def test_always_in_lowest_terms(self, k):
         # 2(3k+2) - 3(2k+1) = 1, so the fraction can never reduce
         assert math.gcd(3 * k + 2, 2 * k + 1) == 1
-        value = gen_w(k)
+        value = generator_value(Side.W, k)
         assert (value.numerator, value.denominator) == (3 * k + 2, 2 * k + 1)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_strictly_decreasing_toward_three_halves(self, k):
-        assert Fraction(3, 2) < gen_w(k + 1) < gen_w(k) <= 2
+        assert Fraction(3, 2) < generator_value(Side.W, k + 1) < generator_value(Side.W, k) <= 2
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
-            gen_w(-1)
+            generator_value(Side.W, HALF - 1)

@@ -1,12 +1,18 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wildsemi.certify import Side, verify_certificate
+import wildsemi
+from wildsemi.certify import Side, serialize_certificate, verify_certificate
 from wildsemi.residue import replay_steps
 from wildsemi.wildprove import (
     ONESTEP_BOUND,
@@ -19,6 +25,7 @@ from wildsemi.wildprove import (
     SieveTooSmallError,
     SmoothPairExhaustionError,
     SmoothWitness,
+    VerificationError,
     WildContext,
     compute_a_r,
     factorize,
@@ -250,16 +257,12 @@ class TestSCertificates:
         cert = s_certificate_for_integer(5)
         assert cert.side is Side.S
         assert cert.target == 5
-        assert [(str(ref), e) for ref, e in cert.factors] == [
-            ("half", 4),
-            ("g(0)", 1),
-            ("g(2)", 1),
-        ]
+        assert serialize_certificate(cert).splitlines()[2:] == ["half 4", "g 0 1", "g 2 1"]
         assert verify_certificate(cert).ok
 
     def test_one(self):
         cert = s_certificate_for_integer(1)
-        assert [(str(ref), e) for ref, e in cert.factors] == [("half", 1), ("g(0)", 1)]
+        assert serialize_certificate(cert).splitlines()[2:] == ["half 1", "g 0 1"]
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(BudgetExhaustedError):
@@ -411,6 +414,33 @@ class TestReduction:
             onestep_reduce(2**13 - 1, 12)  # -1 even mod 2^13
         with pytest.raises(ValueError):
             onestep_reduce(2**11 - 1, 11)
+
+    def test_checks_survive_optimize(self):
+        # a cover whose stored maps are off by one makes the concrete replay
+        # disagree with the map; the check must raise even with asserts off
+        script = textwrap.dedent(
+            """
+            import dataclasses, sys
+            from wildsemi.residue import AffineMap, CoverageTable, load_builtin_coverage
+            from wildsemi.wildprove import VerificationError, WildContext, onestep_reduce
+            records = tuple(
+                dataclasses.replace(r, map=AffineMap(r.map.c, r.map.d + 1))
+                for r in load_builtin_coverage().records
+            )
+            context = WildContext(coverage=CoverageTable(records, modulus_exponent=12))
+            try:
+                onestep_reduce(4095, 12, context)
+            except VerificationError as exc:
+                print(f"{sys.flags.optimize} {exc}")
+            """
+        )
+        src = str(Path(wildsemi.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("1 replay result") and "affine map value" in done.stdout
 
     @given(st.integers(0, 2**40), st.integers(12, 40))
     def test_bound_holds(self, i, k):
