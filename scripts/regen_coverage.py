@@ -30,9 +30,12 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=None, help="write the searched table here")
     args = parser.parse_args()
 
-    limits = residue.SearchLimits(
-        max_depth=args.bits, max_muls=args.max_muls, mul_cap=args.mul_cap
-    )
+    try:
+        limits = residue.SearchLimits(
+            max_depth=args.bits, max_muls=args.max_muls, mul_cap=args.mul_cap
+        )
+    except ValueError as exc:
+        parser.error(str(exc))  # exits 2
     start = time.perf_counter()
     try:
         table = residue.build_coverage(args.bits, limits=limits)

@@ -13,10 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Positive rationals in lowest terms.  Fraction already keeps gcd = 1
-# and arbitrary precision; positivity is checked by pos_rational().
-PosRational = Fraction
-
 ONE = Fraction(1)
 
 

@@ -120,10 +120,6 @@ def step_multiplier(step: str) -> Optional[int]:
     raise ClassMapError(f"bad step token {step!r}")
 
 
-def t_count(steps: Sequence[str]) -> int:
-    return sum(1 for s in steps if s == T_STEP)
-
-
 def replay_steps(n: int, steps: Sequence[str]) -> tuple[int, ...]:
     """Apply the steps concretely to n, returning every intermediate value.
 

@@ -308,6 +308,8 @@ def pi_inequality_range(q_min: int, q_max: int) -> RangeCheckSummary:
     """The inequality for every integer q in [q_min, q_max], batched."""
     if q_min <= 256:
         raise ValueError(f"range must start above 256, got {q_min}")
+    if q_min > q_max:
+        raise ValueError(f"empty range {q_min}..{q_max}")
     sieve = PrimeSieve.build(6 * q_max)
     counts = sieve.counts
     qs = np.arange(q_min, q_max + 1, dtype=np.int64)
@@ -603,7 +605,9 @@ def w_certificate_for_integer(m: int, context: Optional[WildContext] = None) -> 
         return cached
     cert = identity_certificate(Side.W)
     for p, e in sorted(factorize(m).items()):
-        cert = multiply_certificates(cert, certificate_power(w_certificate_for_prime(p, context), e))
+        # p comes out of factorize, so it is prime and the cache is asked first
+        dep = context.recall(p) or w_certificate_for_prime(p, context)
+        cert = multiply_certificates(cert, certificate_power(dep, e))
     if m > 1:
         context.remember(m, cert)
     return cert
@@ -792,11 +796,12 @@ def reach_one_range(bound: int) -> ReachOneStats:
     return ReachOneStats(bound=bound, max_steps=max_steps, max_steps_at=max_at, step_counts=steps)
 
 
-@dataclass(frozen=True)
-class InductionBudgets:
-    trajectory_bound: int = 1 << 20  # desk-scale stand-in, configurable
-    witness_samples: int = 3
-    spot_certificates: int = 3
+# cap of the reach-one sweep, a desk-scale stand-in for 2^k - 2
+DEFAULT_TRAJECTORY_BOUND = 1 << 20
+# strata members x = c * 2^t - 1 (c = 1, 3, 5) checked per hypothesis-1 level
+WITNESS_SAMPLES = 3
+# hypothesis-2 spot certificates built per level
+SPOT_CERTIFICATES = 3
 
 
 @dataclass(frozen=True)
@@ -825,7 +830,7 @@ class InductionReport:
 
 def induction_driver(
     k_max: int,
-    budgets: InductionBudgets = InductionBudgets(),
+    trajectory_bound: int = DEFAULT_TRAJECTORY_BOUND,
     context: Optional[WildContext] = None,
 ) -> InductionReport:
     """Verify the three mutually supporting hypotheses for 12 <= k <= k_max.
@@ -842,7 +847,7 @@ def induction_driver(
     if k_max < 12:
         raise ValueError(f"induction starts at k = 12, got k_max = {k_max}")
     if context is None:
-        context = WildContext(trajectory_budget=max(budgets.trajectory_bound, 1 << 14))
+        context = WildContext(trajectory_budget=max(trajectory_bound, 1 << 14))
     lines: list[InductionLine] = []
 
     cover = context.coverage
@@ -859,7 +864,7 @@ def induction_driver(
     else:
         comparison = f"{format_rational(worst)}<{format_rational(ONESTEP_BOUND)}"
 
-    reach_bound = min((1 << k_max) - 2, budgets.trajectory_bound)
+    reach_bound = min((1 << k_max) - 2, trajectory_bound)
     reach = reach_one_range(reach_bound)
 
     m_done = 1
@@ -885,7 +890,7 @@ def induction_driver(
             t = k - 1
             worst_sample = Fraction(0)
             worst_x = 0
-            for i in range(budgets.witness_samples):
+            for i in range(WITNESS_SAMPLES):
                 c = 2 * i + 1
                 x = c * (1 << t) - 1
                 try:
@@ -904,7 +909,7 @@ def induction_driver(
                     status="pass",
                     details=(
                         ("stratum_exponent", str(t)),
-                        ("samples", str(budgets.witness_samples)),
+                        ("samples", str(WITNESS_SAMPLES)),
                         ("worst_ratio", format_rational(worst_sample)),
                         ("worst_x", str(worst_x)),
                         ("bound", format_rational(ONESTEP_BOUND)),
@@ -916,7 +921,7 @@ def induction_driver(
         capped = need > reach_bound
         checked_to = min(need, reach_bound)
         spot_targets = sorted({checked_to, checked_to // 2 + 1, 27, 1}, reverse=True)
-        spot_targets = spot_targets[: budgets.spot_certificates]
+        spot_targets = spot_targets[:SPOT_CERTIFICATES]
         for n in spot_targets:
             cert = s_certificate_for_integer(n, context.trajectory_budget)
             if not verify_certificate(cert).ok:

@@ -30,7 +30,6 @@ from wildsemi.wildprove import (
     ONESTEP_BOUND,
     NotInSemigroupError,
     PrimeSieve,
-    InductionBudgets,
     WildContext,
     induction_driver,
     lift_minus_one,
@@ -209,7 +208,7 @@ def test_acceptance_09_end_to_end_membership():
 
 def test_acceptance_10_induction_driver():
     with criterion(10, 600.0, "induction hypotheses verified for 12 <= k <= 20 at trajectory bound 2^20"):
-        report = induction_driver(20, InductionBudgets(trajectory_bound=1 << 20))
+        report = induction_driver(20, trajectory_bound=1 << 20)
         assert (report.k_min, report.k_max) == (12, 20)
         assert len(report.lines) == 27  # three hypotheses per k
         assert all(line.status == "pass" for line in report.lines)

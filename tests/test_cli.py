@@ -1,20 +1,11 @@
 """End-to-end runs of the command-line front end, in process."""
 
-from fractions import Fraction
-
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wildsemi import cli
-from wildsemi.cli import (
-    EXIT_BUDGET,
-    EXIT_MATH,
-    EXIT_OK,
-    EXIT_USAGE,
-    RunConfig,
-    build_parser,
-    config_from_args,
-    main,
-)
+from wildsemi.cli import EXIT_BUDGET, EXIT_MATH, EXIT_OK, EXIT_USAGE, main
 from wildsemi.residue import dump_coverage, load_builtin_coverage
 from wildsemi.wildprove import VerificationError
 
@@ -148,6 +139,15 @@ class TestProveCommand:
         assert code == EXIT_OK
         assert kv(out)["target"] == "2/1"
 
+    def test_store_on_a_plain_file_is_usage(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, _, err = run(
+            capsys, "prove", "s", "5", "--store", str(taken), "--out", str(tmp_path / "x")
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error: cannot open store")
+
     def test_bad_budget_is_usage(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "prove", "s", "5", "--budget", "0", "--out", str(tmp_path / "x")
@@ -211,6 +211,9 @@ class TestCoverageCommand:
         assert run(capsys, "coverage", "--regen", "--bits", "4", "--mul-cap", "0")[0] == EXIT_USAGE
         code, _, err = run(capsys, "coverage", "--regen", "--bits", "12", "--max-muls", "3")
         assert code == EXIT_USAGE and err.startswith("error:") and "max_muls" in err
+        # the limits are checked in fixture mode too
+        assert run(capsys, "coverage", "--fixture", "--bits", "12", "--mul-cap", "0")[0] == EXIT_USAGE
+        assert run(capsys, "coverage", "--fixture", "--bits", "12", "--max-muls", "-1")[0] == EXIT_USAGE
 
 
 class TestSearchCommand:
@@ -294,24 +297,16 @@ class TestInductCommand:
 
 class TestParsing:
     def test_help_exits_zero(self, capsys):
-        assert run(capsys, "--help")[0] == EXIT_OK
+        code, out, _ = run(capsys, "--help")
+        assert code == EXIT_OK
+        assert "--seed" not in out
 
     def test_no_command_is_usage(self, capsys):
         assert run(capsys)[0] == EXIT_USAGE
 
     def test_unknown_command_is_usage(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE
-
-    def test_config_snapshot(self):
-        args = build_parser().parse_args(["--seed", "7", "smooth", "13"])
-        config = config_from_args(args)
-        assert config == RunConfig(command="smooth", q=13, seed=7)
-
-    def test_config_value_is_exact(self):
-        args = build_parser().parse_args(["prove", "w", "13/2"])
-        config = config_from_args(args)
-        assert config.value == Fraction(13, 2)
-        assert config.out is None and config.store is None
+        assert run(capsys, "--seed", "7", "smooth", "13")[0] == EXIT_USAGE
 
     def test_stdout_is_machine_splittable(self, capsys):
         for argv in (["smooth", "13"], ["coverage", "--fixture", "--bits", "12"]):
@@ -319,3 +314,38 @@ class TestParsing:
             for line in out.splitlines():
                 if not line.startswith("record="):
                     assert "=" in line
+
+
+# tokens stay small: int() accepts "1_000", and `induct 1000` runs for minutes
+COMMANDS = ("verify", "prove", "coverage", "search", "smooth", "pi-check", "induct")
+FLAGS = (
+    "--help",
+    "--out",
+    "--store",
+    "--budget",
+    "--fixture",
+    "--regen",
+    "--bits",
+    "--mul-cap",
+    "--max-muls",
+    "--class",
+    "--mod",
+    "--traj-bound",
+    "--seed",
+)
+JUNK = ("", "abc", "1/0", "0/1", "-1", ".", "1e3", "0x10", "+5", "7/9", "s", "w")
+TOKENS = st.one_of(st.sampled_from(COMMANDS + FLAGS + JUNK), st.integers(-3, 14).map(str))
+ARGVS = st.one_of(
+    st.lists(TOKENS, max_size=6),
+    st.builds(lambda cmd, rest: [cmd, *rest], st.sampled_from(COMMANDS), st.lists(TOKENS, max_size=7)),
+)
+
+
+class TestExitCodeContract:
+    @settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(ARGVS)
+    def test_every_argv_exits_with_a_contract_code(self, tmp_path, monkeypatch, argv):
+        # the directory is shared across examples, so files written by one
+        # argv (--out, --store) are in the way of later ones
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) in (EXIT_OK, EXIT_MATH, EXIT_USAGE, EXIT_BUDGET)

@@ -1,5 +1,8 @@
 import dataclasses
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -207,6 +210,19 @@ class TestBuildCoverage:
         with pytest.raises(CoverageError) as exc_info:
             build_coverage(4, ())
         assert exc_info.value.uncovered == ("1101", "1110")
+
+    def test_regen_script_rejects_bad_limits_as_usage(self):
+        # the limits are refused before any search runs
+        script = Path(__file__).resolve().parents[1] / "scripts" / "regen_coverage.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--bits", "12", "--max-muls", "3"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "error:" in done.stderr and "max_muls" in done.stderr
 
 
 class TestBuiltinTable:

@@ -18,7 +18,6 @@ from wildsemi.wildprove import (
     ONESTEP_BOUND,
     BudgetExhaustedError,
     CertStore,
-    InductionBudgets,
     InductionError,
     NotInSemigroupError,
     PrimeSieve,
@@ -211,6 +210,8 @@ class TestPiRoute:
     def test_range_guards_its_hypothesis(self):
         with pytest.raises(ValueError):
             pi_inequality_range(256, 300)
+        with pytest.raises(ValueError):
+            pi_inequality_range(300, 299)  # empty range
 
     def test_routes_agree_where_both_apply(self):
         # two independent reasons for the same conclusion; keep both
@@ -318,6 +319,18 @@ class TestWCertificates:
             w_certificate_for_prime(15)
         with pytest.raises(ValueError):
             w_certificate_for_integer(0)
+
+    def test_cached_prime_factors_skip_the_primality_test(self, monkeypatch):
+        ctx = WildContext()
+        w_certificate_for_integer(13 * 17, ctx)
+        tested = []
+        is_prime = wildsemi.wildprove.is_prime_int
+        monkeypatch.setattr(
+            wildsemi.wildprove, "is_prime_int", lambda n: tested.append(n) or is_prime(n)
+        )
+        cert = w_certificate_for_integer(13 * 13 * 17, ctx)
+        assert verify_certificate(cert).ok
+        assert tested == []
 
 
 class TestCertStore:
@@ -511,7 +524,7 @@ class TestInduction:
                 assert ctx.recall(m) is not None
 
     def test_capped_sweep_is_reported_as_capped(self):
-        report = induction_driver(12, InductionBudgets(trajectory_bound=100))
+        report = induction_driver(12, trajectory_bound=100)
         sweep = [line for line in report.lines if line.hypothesis == 2][0]
         assert sweep.kind == "sweep_capped"
         assert dict(sweep.details)["range"] == "1..100"
