@@ -44,6 +44,8 @@ def main() -> int:
         for gap in exc.uncovered:
             print(f"  uncovered {gap}")
         return 1
+    except ValueError as exc:
+        parser.error(str(exc))  # --bits out of range; exits 2
     elapsed = time.perf_counter() - start
 
     verdict = residue.verify_coverage_table(table)

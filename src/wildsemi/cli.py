@@ -116,18 +116,22 @@ def cmd_prove(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise UsageError(f"cannot open store {args.store}: {exc}") from exc
     context = WildContext(trajectory_budget=args.budget, store=store)
-    if args.side == "s":
-        cert = s_certificate_for_rational(value, context)
-    elif value.denominator == 1:
-        cert = w_certificate_for_integer(value.numerator, context)
-    else:
-        # a W-certificate for num/den is the mirror of an S-certificate
-        # for den/num, which exists iff 3 does not divide num
-        if value.numerator % 3 == 0:
-            raise NotInSemigroupError(
-                f"numerator {value.numerator} is divisible by 3; {value} is not in the wild semigroup"
-            )
-        cert = invert_certificate(s_certificate_for_rational(1 / value, context))
+    try:
+        if args.side == "s":
+            cert = s_certificate_for_rational(value, context)
+        elif value.denominator == 1:
+            cert = w_certificate_for_integer(value.numerator, context)
+        else:
+            # a W-certificate for num/den is the mirror of an S-certificate
+            # for den/num, which exists iff 3 does not divide num
+            if value.numerator % 3 == 0:
+                raise NotInSemigroupError(
+                    f"numerator {value.numerator} is divisible by 3; {value} is not in the wild semigroup"
+                )
+            cert = invert_certificate(s_certificate_for_rational(1 / value, context))
+    except OSError as exc:
+        # the store is the only file the construction touches
+        raise UsageError(f"cannot use store {args.store}: {exc}") from exc
     result = verify_certificate(cert)
     destination = args.out if args.out is not None else _default_cert_path(cert)
     try:

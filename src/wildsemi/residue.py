@@ -512,8 +512,8 @@ def build_coverage(
     The all-ones class at full depth is the designed exclusion; any
     other uncoverable prefix raises CoverageError with the list.
     """
-    if j_exp < 1:
-        raise ValueError(f"modulus exponent must be >= 1, got {j_exp}")
+    if not 1 <= j_exp <= MOD_EXP_CAP:
+        raise ValueError(f"modulus exponent must be in 1..{MOD_EXP_CAP}, got {j_exp}")
     if limits is None:
         limits = SearchLimits(max_depth=j_exp)
     elif limits.max_depth != j_exp:

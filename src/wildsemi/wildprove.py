@@ -124,32 +124,128 @@ class PrimeSieve:
         return idx[idx >= lo]
 
 
+TRIAL_BOUND = 1000  # factorize and is_prime_int trial-divide by the primes below it
+SMALL_PRIMES = tuple(int(p) for p in PrimeSieve.build(TRIAL_BOUND - 1).primes())
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+# psi_13 (Sorenson & Webster 2017; OEIS A014233), the least composite
+# that is a strong probable prime to all 13 bases above.  Twelve bases
+# (2..37) stop short at psi_12 = 318665857834031151167461, which they
+# call prime.
+RHO_BATCH = 128  # rho steps per gcd
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """n (odd, > 41) passes the strong probable-prime test to every base in MR_BASES."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def is_prime_int(n: int) -> bool:
+    """Exact primality of any integer.
+
+    Trial division by SMALL_PRIMES settles every n that has a prime
+    factor below TRIAL_BOUND or lies below the square of the largest
+    one.  Past that, the strong probable-prime test to the 13 bases
+    MR_BASES is exact below MR_EXACT_BELOW.  Its composite verdicts are
+    exact everywhere; a probable prime at or above MR_EXACT_BELOW is
+    settled by factorize's trial division to the square root.
+    """
+    if n < 2:
+        return False
+    for p in SMALL_PRIMES:
+        if p * p > n:
+            return True
+        if n % p == 0:
+            return n == p
+    if not _strong_probable_prime(n):
+        return False
+    return n < MR_EXACT_BELOW or factorize(n) == {n: 1}
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of an odd composite n that is not a perfect square.
+
+    Pollard's rho in Brent's form (BIT 1980): Floyd's cycle search
+    replaced by doubling runs, with RHO_BATCH differences multiplied
+    together per gcd.  The start y = 2 and the constants c = 1, 2, ...
+    are fixed, so the divisor found is a function of n.
+    """
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot; replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+    raise VerificationError(f"rho found no divisor of {n}")
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by 2-3-wheel trial division; fine to ~10^12."""
+    """Exact prime factorization of a positive integer.
+
+    Trial division by SMALL_PRIMES divides out every prime below
+    TRIAL_BOUND.  A cofactor below MR_EXACT_BELOW is then split by
+    is_prime_int, math.isqrt for squares and Pollard-Brent rho, all
+    exact there.  While the cofactor is at or above MR_EXACT_BELOW,
+    trial division by 6k +- 1 runs on towards its square root.
+    """
     if n < 1:
         raise ValueError(f"factorize wants a positive integer, got {n}")
     factors: dict[int, int] = {}
-    for p in (2, 3):
+    for p in SMALL_PRIMES:
+        if p * p > n:
+            if n > 1:
+                factors[n] = 1
+            return factors
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    p = 5
+    p = 6 * (TRIAL_BOUND // 6) - 1  # 5 mod 6, just below TRIAL_BOUND
     step = 2  # alternate +2, +4 through 6k +- 1
-    while p * p <= n:
+    while n >= MR_EXACT_BELOW and p * p <= n:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
         p += step
         step = 6 - step
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+    # every m below has no prime factor under p, so m < p*p is prime
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < p * p or is_prime_int(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        root = math.isqrt(m)
+        d = root if root * root == m else _rho_divisor(m)
+        pending += (d, m // d)
     return factors
-
-
-def is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    return factorize(n) == {n: 1}
 
 
 def largest_prime_factor(n: int) -> int:
@@ -243,10 +339,18 @@ def smooth_counts_up_to(q_max: int) -> np.ndarray:
     prime-counting route on purpose; the two are compared, not merged.
     """
     limit = 6 * q_max
-    sieve = PrimeSieve.build(limit)
+    root = math.isqrt(limit)
+    primes = PrimeSieve.build(limit).primes(2, limit)
+    small = np.searchsorted(primes, root, side="right")
     gpf = np.zeros(limit + 1, dtype=np.int64)
-    for p in sieve.primes(2, limit):
+    for p in primes[:small]:
         gpf[p::p] = p
+    # s <= limit has at most one prime factor above sqrt(limit), and it
+    # is gpf(s): one scatter per cofactor c instead of one slice per prime
+    big = primes[small:]
+    for c in range(1, root + 1):
+        ps = big[: np.searchsorted(big, limit // c, side="right")]
+        gpf[ps * c] = ps
     s = np.arange(limit + 1, dtype=np.int64)
     coprime6 = (s % 2 == 1) & (s % 3 != 0)
     thresholds = np.maximum(s // 6 + 1, gpf + 1)[coprime6]
@@ -359,6 +463,17 @@ class SmoothWitness:
     @property
     def l(self) -> int:
         return (self.n * self.q - 2) // 3
+
+    def factorization(self) -> dict[int, int]:
+        """The factorization of s1*s2, each factored alone.
+
+        Both are below 6q; their product can reach 36q^2 and so leave
+        the range where factorize is fast.
+        """
+        factors = factorize(self.s1)
+        for p, e in factorize(self.s2).items():
+            factors[p] = factors.get(p, 0) + e
+        return factors
 
 
 def _smooth_candidates(q: int):
@@ -546,7 +661,7 @@ def _witness_certificate(witness: SmoothWitness, context: WildContext) -> Certif
         ((witness.l, 1),),
     )
     cert = multiply_certificates(inv_n, middle)
-    for p, e in sorted(factorize(witness.s1 * witness.s2).items()):
+    for p, e in sorted(witness.factorization().items()):
         dep = context.recall(p)
         if dep is None:
             raise VerificationError(f"dependency {p} missing while assembling {witness.q}")
@@ -583,7 +698,7 @@ def w_certificate_for_prime(q: int, context: Optional[WildContext] = None) -> Ce
             continue
         needed.add(p)
         witness = context.witness_for(p)
-        for dep in factorize(witness.s1 * witness.s2):
+        for dep in witness.factorization():
             if context.recall(dep) is None:
                 pending.append(dep)  # dep < p, so this terminates
     for p in sorted(needed):

@@ -1,4 +1,4 @@
-"""The ten acceptance criteria, each with its runtime budget.
+"""The eleven acceptance criteria, each with its runtime budget.
 
 Every criterion prints one ACCEPTANCE NN PASS/FAIL line (bypassing
 pytest capture so the line lands in piped output) and asserts both the
@@ -215,3 +215,12 @@ def test_acceptance_10_induction_driver():
         rendered = report.render()
         assert "comparison=1216/1264<1235/1264" in rendered
         assert "k=20 hyp=3 kind=sweep status=pass m_bound=5548" in rendered
+
+
+def test_acceptance_11_mersenne_61():
+    q = 2**61 - 1
+    with criterion(11, 2.0, "W-certificate for the prime 2^61 - 1 built and verified"):
+        cert = w_certificate_for_prime(q)
+        assert cert.target == q
+        assert verify_certificate(cert).ok
+        assert eval_certificate(cert) == q

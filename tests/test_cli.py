@@ -148,6 +148,16 @@ class TestProveCommand:
         assert code == EXIT_USAGE
         assert err.startswith("error: cannot open store")
 
+    def test_store_io_failure_is_usage(self, capsys, tmp_path):
+        store = tmp_path / "cache"
+        (store / "w-13.cert").mkdir(parents=True)  # a directory where a file goes
+        code, out, err = run(
+            capsys, "prove", "w", "13", "--store", str(store), "--out", str(tmp_path / "x")
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: cannot use store") and err.count("\n") == 1
+
     def test_bad_budget_is_usage(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "prove", "s", "5", "--budget", "0", "--out", str(tmp_path / "x")

@@ -224,6 +224,19 @@ class TestBuildCoverage:
         assert "Traceback" not in done.stderr
         assert "error:" in done.stderr and "max_muls" in done.stderr
 
+    def test_regen_script_rejects_bad_bits_as_usage(self):
+        # refused by build_coverage before the search starts
+        script = Path(__file__).resolve().parents[1] / "scripts" / "regen_coverage.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--bits", "65"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "error:" in done.stderr and "1..64" in done.stderr
+
 
 class TestBuiltinTable:
     def test_shape_and_worst(self):

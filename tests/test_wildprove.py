@@ -7,6 +7,7 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -52,6 +53,36 @@ from wildsemi.wildprove import (
 
 def brute_primes(limit):
     return [n for n in range(2, limit + 1) if all(n % d for d in range(2, n))]
+
+
+def trial_factorize(n):
+    """Reference: divide by 2, 3, 5, 7, 9, ... up to the square root."""
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+# OEIS A014233: the least composite that is a strong probable prime to
+# every one of the first t prime bases, t = 1..12 (distinct values)
+STRONG_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,  # psi_12: fools the bases 2..37
+)
+CARMICHAEL = (561, 1105, 1729, 41041, 825265, 321197185, 1004612946644089, 100147095286703777089)
 
 
 class TestPrimeSieve:
@@ -103,6 +134,51 @@ class TestIntegerHelpers:
         sieve = PrimeSieve.build(300)
         for n in range(301):
             assert is_prime_int(n) == sieve.is_prime(n)
+
+    def test_agrees_with_trial_division_below_2e5(self):
+        for n in range(1, 200_000):
+            expected = trial_factorize(n)
+            assert factorize(n) == expected, n
+            assert is_prime_int(n) == (expected == {n: 1}), n
+
+    def test_agrees_with_trial_division_on_random_n_below_1e12(self, rng):
+        for _ in range(40):
+            n = rng.randrange(1, 10**12)
+            expected = trial_factorize(n)
+            assert factorize(n) == expected, n
+            assert is_prime_int(n) == (expected == {n: 1}), n
+
+    @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + CARMICHAEL)
+    def test_pseudoprimes_are_composite(self, n):
+        assert not is_prime_int(n)
+        factors = factorize(n)
+        assert sum(factors.values()) >= 2
+        assert math.prod(p**e for p, e in factors.items()) == n
+        assert all(is_prime_int(p) for p in factors)
+        if n in CARMICHAEL:  # Korselt: squarefree, p - 1 | n - 1
+            assert all(e == 1 and (n - 1) % (p - 1) == 0 for p, e in factors.items())
+
+    def test_large_semiprimes_and_squares(self):
+        p, r = 2**30 - 35, 2**30 + 3  # both prime
+        assert is_prime_int(p) and is_prime_int(r)
+        assert factorize(p * r) == {p: 1, r: 1}
+        assert factorize(p * p) == {p: 2}
+        assert factorize(4 * p * r) == {2: 2, p: 1, r: 1}
+        assert not is_prime_int(p * p)
+        assert is_prime_int(2**61 - 1)
+        assert factorize(2**61 - 1) == {2**61 - 1: 1}
+
+    def test_beyond_the_exact_range_falls_back_to_trial_division(self):
+        # 7^40 is above psi_13 = 3317044064679887385961981, where the
+        # 13-base test is no longer proven exact
+        assert 7**40 > 3317044064679887385961981
+        assert factorize(7**40) == {7: 40}
+        assert factorize(2 * 7**40 * 1009) == {2: 1, 7: 40, 1009: 1}
+        # no prime factor below 1000 and above psi_13: the 6k +- 1 loop
+        # runs on past 1000 until the cofactor drops below psi_13
+        assert 1009**5 * 1013**4 > 3317044064679887385961981
+        assert factorize(1009**5 * 1013**4) == {1009: 5, 1013: 4}
+        assert not is_prime_int(7**40)
 
     def test_smoothness(self):
         assert largest_prime_factor(1) == 1
@@ -156,6 +232,18 @@ class TestSmoothResidues:
             if math.gcd(s, 6 * q) == 1 and is_q_smooth(s, q)
         )
         assert got == expected
+
+    def test_counts_match_a_per_prime_sieve(self):
+        # reference: the greatest prime factor by one slice per prime
+        q_max = 3000
+        limit = 6 * q_max
+        gpf = np.zeros(limit + 1, dtype=np.int64)
+        for p in PrimeSieve.build(limit).primes():
+            gpf[p::p] = p
+        s = np.arange(limit + 1)
+        thresholds = np.maximum(s // 6 + 1, gpf + 1)[(s % 2 == 1) & (s % 3 != 0)]
+        expected = np.cumsum(np.bincount(thresholds[thresholds <= q_max], minlength=q_max + 1))
+        assert np.array_equal(smooth_counts_up_to(q_max), expected)
 
     def test_counts_batch_matches_single(self):
         counts = smooth_counts_up_to(60)
