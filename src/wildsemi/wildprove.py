@@ -28,13 +28,10 @@ from typing import Optional
 import numpy as np
 
 from .certify import (
-    BASE_TARGETS,
     Certificate,
     HALF,
     Side,
     base_certificate,
-    certificate_power,
-    identity_certificate,
     invert_certificate,
     multiply_certificates,
     parse_certificate,
@@ -207,14 +204,28 @@ def _rho_divisor(n: int) -> int:
     raise VerificationError(f"rho found no divisor of {n}")
 
 
+def _least_divisor(n: int) -> int:
+    """The least divisor above 1 of an n with no prime factor below
+    TRIAL_BOUND, by trial division by 6k +- 1 up to its square root."""
+    p = 6 * (TRIAL_BOUND // 6) - 1  # 5 mod 6, just below TRIAL_BOUND
+    step = 2  # alternate +2, +4 through 6k +- 1
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += step
+        step = 6 - step
+    return n
+
+
 def factorize(n: int) -> dict[int, int]:
     """Exact prime factorization of a positive integer.
 
     Trial division by SMALL_PRIMES divides out every prime below
-    TRIAL_BOUND.  A cofactor below MR_EXACT_BELOW is then split by
-    is_prime_int, math.isqrt for squares and Pollard-Brent rho, all
-    exact there.  While the cofactor is at or above MR_EXACT_BELOW,
-    trial division by 6k +- 1 runs on towards its square root.
+    TRIAL_BOUND.  Each cofactor is then split by math.isqrt for squares
+    and by Pollard-Brent rho once it is known composite: by is_prime_int
+    below MR_EXACT_BELOW, by failing the strong probable-prime test at
+    or above it.  Only a probable prime at or above MR_EXACT_BELOW is
+    settled by trial division by 6k +- 1 up to its square root.
     """
     if n < 1:
         raise ValueError(f"factorize wants a positive integer, got {n}")
@@ -227,24 +238,26 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    p = 6 * (TRIAL_BOUND // 6) - 1  # 5 mod 6, just below TRIAL_BOUND
-    step = 2  # alternate +2, +4 through 6k +- 1
-    while n >= MR_EXACT_BELOW and p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += step
-        step = 6 - step
-    # every m below has no prime factor under p, so m < p*p is prime
+    # every m below has no prime factor under TRIAL_BOUND, so it is
+    # prime if it is below TRIAL_BOUND^2; d == m marks a prime
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
-        if m < p * p or is_prime_int(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
         root = math.isqrt(m)
-        d = root if root * root == m else _rho_divisor(m)
-        pending += (d, m // d)
+        if m < TRIAL_BOUND * TRIAL_BOUND:
+            d = m
+        elif root * root == m:
+            d = root
+        elif m < MR_EXACT_BELOW:
+            d = m if is_prime_int(m) else _rho_divisor(m)
+        elif not _strong_probable_prime(m):
+            d = _rho_divisor(m)
+        else:
+            d = _least_divisor(m)
+        if d == m:
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            pending += (d, m // d)
     return factors
 
 
@@ -650,6 +663,22 @@ def s_certificate_for_integer(
     return cert
 
 
+def _w_product(parts: list[tuple[Certificate, int]]) -> Certificate:
+    """The W-certificate of the product of cert^e over the parts, built once.
+
+    Its target is the exact product of the part targets and its factors
+    are every part's factors with exponents times e; the constructor
+    merges and sorts them a single time.
+    """
+    num = den = 1
+    factors: list[tuple[int, int]] = []
+    for cert, e in parts:
+        num *= cert.target.numerator**e
+        den *= cert.target.denominator**e
+        factors += [(k, exp * e) for k, exp in cert.factors]
+    return Certificate(Side.W, Fraction(num, den), tuple(factors))
+
+
 def _witness_certificate(witness: SmoothWitness, context: WildContext) -> Certificate:
     """q = (1/n) * g(l) * s1 * s2 assembled from verified parts."""
     inv_n = invert_certificate(
@@ -660,12 +689,13 @@ def _witness_certificate(witness: SmoothWitness, context: WildContext) -> Certif
         Fraction(3 * witness.l + 2, 2 * witness.l + 1),
         ((witness.l, 1),),
     )
-    cert = multiply_certificates(inv_n, middle)
+    parts = [(inv_n, 1), (middle, 1)]
     for p, e in sorted(witness.factorization().items()):
         dep = context.recall(p)
         if dep is None:
             raise VerificationError(f"dependency {p} missing while assembling {witness.q}")
-        cert = multiply_certificates(cert, certificate_power(dep, e))
+        parts.append((dep, e))
+    cert = _w_product(parts)
     if cert.target != witness.q:
         raise VerificationError(f"assembled target {cert.target} != {witness.q}")
     check = verify_certificate(cert)
@@ -718,12 +748,14 @@ def w_certificate_for_integer(m: int, context: Optional[WildContext] = None) -> 
     cached = context.recall(m)
     if cached is not None:
         return cached
-    cert = identity_certificate(Side.W)
-    for p, e in sorted(factorize(m).items()):
-        # p comes out of factorize, so it is prime and the cache is asked first
-        dep = context.recall(p) or w_certificate_for_prime(p, context)
-        cert = multiply_certificates(cert, certificate_power(dep, e))
-    if m > 1:
+    # each p comes out of factorize, so it is prime and the cache is asked first
+    cert = _w_product(
+        [
+            (context.recall(p) or w_certificate_for_prime(p, context), e)
+            for p, e in sorted(factorize(m).items())
+        ]
+    )
+    if m > 1 and m not in context.certificates:  # a prime m is stored already
         context.remember(m, cert)
     return cert
 
@@ -886,29 +918,71 @@ class ReachOneStats:
         return int(self.step_counts[: n + 1].max())
 
 
+REACH_CHUNK = 1 << 16  # starts descended together; temporaries stay a few MB
+REACH_INT64_LIMIT = (2**63 - 2) // 3  # largest v whose 3v + 1 fits in int64
+REACH_STEP_GUARD = 10 * DEFAULT_TRAJECTORY_BUDGET
+
+
+def _descend(start: int, stop: int, floor: int) -> tuple[np.ndarray, np.ndarray]:
+    """T-iterate every n in [start, stop) until it falls below floor.
+
+    Returns the value reached and the number of steps taken, per n.
+    Values past REACH_INT64_LIMIT finish the descent in Python ints.
+    """
+    v = np.arange(start, stop, dtype=np.int64)
+    pos = np.arange(stop - start)
+    reached = np.empty(stop - start, dtype=np.int64)
+    count = np.empty(stop - start, dtype=np.int64)
+    t = 0
+    while v.size:
+        if t > REACH_STEP_GUARD:
+            raise BudgetExhaustedError(f"descent from {start + pos[0]} exceeded every sane budget")
+        if v.max() > REACH_INT64_LIMIT:
+            big = v > REACH_INT64_LIMIT
+            for j in np.flatnonzero(big):
+                x, c = int(v[j]), t
+                while x >= floor:
+                    x = (3 * x + 1) >> 1 if x & 1 else x >> 1
+                    c += 1
+                    if c > REACH_STEP_GUARD:
+                        raise BudgetExhaustedError(
+                            f"descent from {start + pos[j]} exceeded every sane budget"
+                        )
+                reached[pos[j]], count[pos[j]] = x, c
+            v, pos = v[~big], pos[~big]
+            continue
+        v = (v >> 1) + (v & 1) * (v + 1)  # T: v/2 or (3v + 1)/2
+        t += 1
+        done = v < floor
+        reached[pos[done]] = v[done]
+        count[pos[done]] = t
+        v, pos = v[~done], pos[~done]
+    return reached, count
+
+
 def reach_one_range(bound: int) -> ReachOneStats:
     """Confirm every 1 <= n <= bound reaches 1 under T, with step counts.
 
-    Classic descent memoization: iterate until the value drops below
-    the start, whose step count is already known.
+    Sweeps the dyadic blocks [2^i, 2^(i+1)) in order, REACH_CHUNK starts
+    at a time in numpy: each start is iterated until it falls below
+    2^i, where every step count is already known, and that count is
+    added.  A start's total does not depend on where its descent stops,
+    so the counts are those of the one-start-at-a-time descent; starts
+    whose values leave int64 range finish in Python ints.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     steps = np.zeros(bound + 1, dtype=np.int64)
-    max_steps, max_at = 0, 1
-    for n in range(2, bound + 1):
-        v = n
-        count = 0
-        while v >= n:
-            v = (3 * v + 1) >> 1 if v & 1 else v >> 1
-            count += 1
-            if count > 10 * DEFAULT_TRAJECTORY_BUDGET:
-                raise BudgetExhaustedError(f"descent from {n} exceeded every sane budget")
-        total = count + int(steps[v])
-        steps[n] = total
-        if total > max_steps:
-            max_steps, max_at = total, n
-    return ReachOneStats(bound=bound, max_steps=max_steps, max_steps_at=max_at, step_counts=steps)
+    for i in range(1, bound.bit_length()):
+        floor, top = 1 << i, min(2 << i, bound + 1)
+        for start in range(floor, top, REACH_CHUNK):
+            stop = min(start + REACH_CHUNK, top)
+            reached, count = _descend(start, stop, floor)
+            steps[start:stop] = count + steps[reached]
+    max_at = int(np.argmax(steps[1:])) + 1  # the first n with the most steps
+    return ReachOneStats(
+        bound=bound, max_steps=int(steps[max_at]), max_steps_at=max_at, step_counts=steps
+    )
 
 
 # cap of the reach-one sweep, a desk-scale stand-in for 2^k - 2

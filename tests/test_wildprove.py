@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wildsemi
-from wildsemi.certify import Side, serialize_certificate, verify_certificate
+from wildsemi.certify import (
+    Certificate,
+    Side,
+    certificate_power,
+    identity_certificate,
+    invert_certificate,
+    multiply_certificates,
+    serialize_certificate,
+    verify_certificate,
+)
 from wildsemi.residue import replay_steps
 from wildsemi.wildprove import (
     ONESTEP_BOUND,
@@ -83,6 +93,55 @@ STRONG_PSEUDOPRIMES = (
     318665857834031151167461,  # psi_12: fools the bases 2..37
 )
 CARMICHAEL = (561, 1105, 1729, 41041, 825265, 321197185, 1004612946644089, 100147095286703777089)
+
+
+def run_optimized(script):
+    """stdout of a script run under python -O with this checkout's package."""
+    src = str(Path(wildsemi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def chain_integer_certificate(m, context):
+    """Reference: identity times each prime-power certificate, one multiply at a time."""
+    cert = identity_certificate(Side.W)
+    for p, e in sorted(factorize(m).items()):
+        cert = multiply_certificates(cert, certificate_power(w_certificate_for_prime(p, context), e))
+    return cert
+
+
+def chain_witness_certificate(q, context):
+    """Reference: (1/n) * g(l) * s1 * s2 for q, one multiply at a time."""
+    w = context.witnesses[q]
+    inv_n = invert_certificate(s_certificate_for_integer(w.n, context.trajectory_budget))
+    middle = Certificate(Side.W, Fraction(3 * w.l + 2, 2 * w.l + 1), ((w.l, 1),))
+    cert = multiply_certificates(inv_n, middle)
+    for p, e in sorted(w.factorization().items()):
+        cert = multiply_certificates(cert, certificate_power(context.recall(p), e))
+    return cert
+
+
+def loop_reach_one(bound):
+    """Reference: descend each n on its own until it drops below n."""
+    steps = np.zeros(bound + 1, dtype=np.int64)
+    max_steps, max_at = 0, 1
+    for n in range(2, bound + 1):
+        v, count = n, 0
+        while v >= n:
+            v = (3 * v + 1) >> 1 if v & 1 else v >> 1
+            count += 1
+        steps[n] = total = count + int(steps[v])
+        if total > max_steps:
+            max_steps, max_at = total, n
+    return steps, max_steps, max_at
 
 
 class TestPrimeSieve:
@@ -174,11 +233,33 @@ class TestIntegerHelpers:
         assert 7**40 > 3317044064679887385961981
         assert factorize(7**40) == {7: 40}
         assert factorize(2 * 7**40 * 1009) == {2: 1, 7: 40, 1009: 1}
-        # no prime factor below 1000 and above psi_13: the 6k +- 1 loop
-        # runs on past 1000 until the cofactor drops below psi_13
+        # no prime factor below 1000 and above psi_13: the 13-base test
+        # proves it composite, so it is split, not trial-divided
         assert 1009**5 * 1013**4 > 3317044064679887385961981
         assert factorize(1009**5 * 1013**4) == {1009: 5, 1013: 4}
         assert not is_prime_int(7**40)
+
+    def test_composites_past_the_exact_range_split_fast(self):
+        p, r = 1000000007, 1000000009
+        q = 2**51 - 129  # a 51-bit prime beside the 31-bit 2^31 - 1
+        assert is_prime_int(q) and is_prime_int(2**31 - 1)
+        assert p * p * r > (2**31 - 1) * q > wildsemi.wildprove.MR_EXACT_BELOW
+        start = time.perf_counter()
+        assert factorize(p * p * r) == {p: 2, r: 1}
+        assert factorize((2**31 - 1) * q) == {2**31 - 1: 1, q: 1}
+        assert time.perf_counter() - start < 2.0
+
+    def test_probable_primes_past_the_exact_range_are_trial_divided(self, monkeypatch):
+        # with the exact range cut to 10^7, a prime above it passes the
+        # 13-base test and only trial division may call it prime
+        monkeypatch.setattr(wildsemi.wildprove, "MR_EXACT_BELOW", 10**7)
+        p, r = 10000019, 1000003  # both prime
+        assert trial_factorize(p) == {p: 1} and trial_factorize(r) == {r: 1}
+        assert is_prime_int(p)
+        assert factorize(p) == {p: 1}
+        assert factorize(p * r) == {p: 1, r: 1}
+        assert factorize(p * p * r) == {p: 2, r: 1}
+        assert not is_prime_int(p * r)
 
     def test_smoothness(self):
         assert largest_prime_factor(1) == 1
@@ -421,6 +502,59 @@ class TestWCertificates:
         assert tested == []
 
 
+class TestAssembly:
+    def test_integers_match_the_multiply_chain(self):
+        ctx = WildContext()
+        for m in range(1, 3000):
+            if m % 3:
+                assert w_certificate_for_integer(m, ctx) == chain_integer_certificate(m, ctx), m
+        assert len(ctx.witnesses) > 300
+        for q in ctx.witnesses:
+            assert ctx.certificates[q] == chain_witness_certificate(q, ctx), q
+
+    def test_large_primes_match_the_multiply_chain(self):
+        ctx = WildContext()
+        qs = [q for q in range(2**30 - 1, 2**30 - 200, -2) if q % 3 and is_prime_int(q)][:4]
+        assert len(qs) == 4
+        for q in qs:
+            cert = w_certificate_for_prime(q, ctx)
+            assert verify_certificate(cert).ok
+            assert cert == chain_witness_certificate(q, ctx)
+            assert w_certificate_for_integer(q, ctx) == cert == chain_integer_certificate(q, ctx)
+
+    def test_each_new_file_is_put_once(self, tmp_path, monkeypatch):
+        put = CertStore.put
+        puts = []
+        monkeypatch.setattr(CertStore, "put", lambda store, cert: puts.append(cert) or put(store, cert))
+        ctx = WildContext(store=CertStore(tmp_path))
+        for m in range(1000, 1040):
+            if m % 3:
+                w_certificate_for_integer(m, ctx)
+        files = sorted(tmp_path.glob("*.cert"))
+        assert len(puts) == len(files) > 30
+        assert (tmp_path / "w-1009.cert").exists()  # primes are among them
+
+    def test_tampered_dependency_is_caught_under_optimize(self):
+        out = run_optimized(
+            """
+            import sys
+            from fractions import Fraction
+            from wildsemi.certify import Certificate
+            from wildsemi.wildprove import VerificationError, WildContext, _witness_certificate
+            context = WildContext()
+            witness = context.witness_for(13)
+            p = min(witness.factorization())
+            dep = context.recall(p)
+            context.certificates[p] = Certificate(dep.side, dep.target + 1, dep.factors)
+            try:
+                _witness_certificate(witness, context)
+            except VerificationError as exc:
+                print(f"{sys.flags.optimize} {exc}")
+            """
+        )
+        assert out.startswith("1 assembled target") and "!= 13" in out
+
+
 class TestCertStore:
     def test_round_trip(self, tmp_path):
         store = CertStore(tmp_path / "certs")
@@ -519,7 +653,7 @@ class TestReduction:
     def test_checks_survive_optimize(self):
         # a cover whose stored maps are off by one makes the concrete replay
         # disagree with the map; the check must raise even with asserts off
-        script = textwrap.dedent(
+        out = run_optimized(
             """
             import dataclasses, sys
             from wildsemi.residue import AffineMap, CoverageTable, load_builtin_coverage
@@ -535,13 +669,7 @@ class TestReduction:
                 print(f"{sys.flags.optimize} {exc}")
             """
         )
-        src = str(Path(wildsemi.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("1 replay result") and "affine map value" in done.stdout
+        assert out.startswith("1 replay result") and "affine map value" in out
 
     @given(st.integers(0, 2**40), st.integers(12, 40))
     def test_bound_holds(self, i, k):
@@ -572,6 +700,31 @@ class TestReachOne:
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             reach_one_range(0)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 27, 1000, 2**16 + 3, 2**18])
+    def test_matches_the_loop(self, bound):
+        steps, max_steps, max_at = loop_reach_one(bound)
+        stats = reach_one_range(bound)
+        assert np.array_equal(stats.step_counts, steps)
+        assert (stats.max_steps, stats.max_steps_at) == (max_steps, max_at)
+
+    @pytest.mark.parametrize("bound", [1000, 2**16 + 3])
+    def test_python_int_path_matches_the_loop(self, bound, monkeypatch):
+        # values above 10^4 now finish the descent in Python ints
+        monkeypatch.setattr(wildsemi.wildprove, "REACH_INT64_LIMIT", 10**4)
+        steps, max_steps, max_at = loop_reach_one(bound)
+        stats = reach_one_range(bound)
+        assert np.array_equal(stats.step_counts, steps)
+        assert (stats.max_steps, stats.max_steps_at) == (max_steps, max_at)
+
+    def test_runaway_descent_raises(self, monkeypatch):
+        # 27 needs 65 steps to fall below 16; the guard trips in both paths
+        monkeypatch.setattr(wildsemi.wildprove, "REACH_STEP_GUARD", 40)
+        with pytest.raises(BudgetExhaustedError):
+            reach_one_range(27)
+        monkeypatch.setattr(wildsemi.wildprove, "REACH_INT64_LIMIT", 10)
+        with pytest.raises(BudgetExhaustedError):
+            reach_one_range(27)
 
 
 class TestInduction:
