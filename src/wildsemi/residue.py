@@ -23,13 +23,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+from .certify import BASE_TARGETS
+
 MOD_EXP_CAP = 64
 # class indices stay machine-word sized; values inside maps do not
 
-# Targets of the built-in wild certificates; the only multipliers a
-# coverage table may use must factor over this base (cross-checked in
-# the test suite against certify.BASE_TARGETS).
-DEFAULT_MULTIPLIER_BASE = (5, 7, 11, 13, 23, 29, 43)
+# The multipliers a coverage table may use must factor over the targets
+# of the built-in wild certificates.
+DEFAULT_MULTIPLIER_BASE = BASE_TARGETS
 
 
 class ClassMapError(ValueError):
@@ -153,7 +154,12 @@ class AffineMap:
 
 
 def symbolic_apply(cls: ResidueClass, steps: Sequence[str]) -> AffineMap:
-    """Run the steps symbolically on the class, producing (c, d).
+    """Run the steps symbolically on the class, producing (c, d)."""
+    return _walk(cls, steps)[0]
+
+
+def _walk(cls: ResidueClass, steps: Sequence[str]) -> tuple[AffineMap, int]:
+    """symbolic_apply's map together with the number of odd T steps.
 
     Tracks the value as (A*n + B)/2^t with integer A, B and the residue
     of the current value mod 2^r, r = j - (T steps so far).  Each T step
@@ -161,7 +167,7 @@ def symbolic_apply(cls: ResidueClass, steps: Sequence[str]) -> AffineMap:
     required; parity at every T step is determined and every division
     by 2 is exact on the class.
     """
-    a, b, t = 1, 0, 0
+    a, b, t, odd = 1, 0, 0, 0
     u, r = cls.residue, cls.j
     for step in steps:
         m = step_multiplier(step)
@@ -178,6 +184,7 @@ def symbolic_apply(cls: ResidueClass, steps: Sequence[str]) -> AffineMap:
             a *= 3
             b = 3 * b + (1 << t)
             u = (3 * u + 1) >> 1
+            odd += 1
         else:
             u >>= 1
         t += 1
@@ -185,7 +192,7 @@ def symbolic_apply(cls: ResidueClass, steps: Sequence[str]) -> AffineMap:
         u &= (1 << r) - 1
     if t != cls.j:
         raise ClassMapError(f"step list has {t} T steps, class needs exactly {cls.j}")
-    return AffineMap(Fraction(a, 1 << t), Fraction(b, 1 << t))
+    return AffineMap(Fraction(a, 1 << t), Fraction(b, 1 << t)), odd
 
 
 def worst_ratio(cls: ResidueClass, amap: AffineMap) -> Fraction:
@@ -233,7 +240,7 @@ def verify_record(record: PathRecord) -> tuple[str, ...]:
     """All the ways a record can be wrong, as human-readable strings."""
     issues: list[str] = []
     try:
-        amap = symbolic_apply(record.cls, record.steps)
+        amap, l = _walk(record.cls, record.steps)
     except ClassMapError as exc:
         return (f"steps do not fit the class: {exc}",)
     if amap != record.map:
@@ -243,21 +250,7 @@ def verify_record(record: PathRecord) -> tuple[str, ...]:
         issues.append(f"stored worst ratio {record.worst_ratio} != recomputed {true_worst}")
     if true_worst >= 1:
         issues.append(f"class does not decrease: worst ratio {true_worst} >= 1")
-    # c must factor as 3^l * (product of multipliers) / 2^j
-    l = 0
-    u, r = record.cls.residue, record.cls.j
-    for step in record.steps:
-        m = step_multiplier(step)
-        if m is not None:
-            u = (u * m) & ((1 << r) - 1)
-            continue
-        if u & 1:
-            l += 1
-            u = (3 * u + 1) >> 1
-        else:
-            u >>= 1
-        r -= 1
-        u &= (1 << r) - 1
+    # c must factor as 3^l * (product of multipliers) / 2^j, l odd steps
     mprod = 1
     for m in record.multipliers:
         mprod *= m

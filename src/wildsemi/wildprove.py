@@ -32,8 +32,7 @@ from .certify import (
     HALF,
     Side,
     base_certificate,
-    invert_certificate,
-    multiply_certificates,
+    certificate_product,
     parse_certificate,
     serialize_certificate,
     verify_certificate,
@@ -75,6 +74,14 @@ class InductionError(RuntimeError):
         self.hypothesis = hypothesis
         self.witness = witness
         super().__init__(f"k={k} hypothesis={hypothesis} witness={witness}: {message}")
+
+
+def _verified(cert: Certificate, what: str) -> Certificate:
+    """cert once it verifies; each constructor checks what it builds here, once."""
+    check = verify_certificate(cert)
+    if not check.ok:
+        raise VerificationError(f"{what} failed: {check.reason}")
+    return cert
 
 
 # --------------------------------------------------------------------------
@@ -587,9 +594,9 @@ class WildContext:
     """Caches shared by the constructive operations.
 
     Holds verified W-certificates keyed by integer target (seeded with
-    2, 5, 7, 11 only; the other built-ins are reconstructed, not
-    assumed), smooth witnesses, the coverage table, the trajectory
-    budget, and an optional persistent store.
+    2, 5, 7, 11 only, verified here; the other built-ins are
+    reconstructed, not assumed), smooth witnesses, the coverage table,
+    the trajectory budget, and an optional persistent store.
     """
 
     def __init__(
@@ -602,10 +609,10 @@ class WildContext:
         self.store = store
         self._coverage = coverage
         self.certificates: dict[int, Certificate] = {
-            2: Certificate(Side.W, Fraction(2), ((0, 1),)),
+            2: _verified(Certificate(Side.W, Fraction(2), ((0, 1),)), "seed certificate for 2"),
         }
         for seed in (5, 7, 11):
-            self.certificates[seed] = base_certificate(seed)
+            self.certificates[seed] = _verified(base_certificate(seed), f"seed certificate for {seed}")
         self.witnesses: dict[int, SmoothWitness] = {}
 
     @property
@@ -656,52 +663,26 @@ def s_certificate_for_integer(
         )
     factors = [((v - 1) >> 1 if v & 1 else HALF, 1) for v in traj.values[:-1]]
     factors += [(HALF, 1), (0, 1)]
-    cert = Certificate(Side.S, Fraction(n), tuple(factors))
-    check = verify_certificate(cert)
-    if not check.ok:
-        raise VerificationError(f"trajectory certificate for {n} failed: {check.reason}")
-    return cert
-
-
-def _w_product(parts: list[tuple[Certificate, int]]) -> Certificate:
-    """The W-certificate of the product of cert^e over the parts, built once.
-
-    Its target is the exact product of the part targets and its factors
-    are every part's factors with exponents times e; the constructor
-    merges and sorts them a single time.
-    """
-    num = den = 1
-    factors: list[tuple[int, int]] = []
-    for cert, e in parts:
-        num *= cert.target.numerator**e
-        den *= cert.target.denominator**e
-        factors += [(k, exp * e) for k, exp in cert.factors]
-    return Certificate(Side.W, Fraction(num, den), tuple(factors))
+    return _verified(Certificate(Side.S, Fraction(n), tuple(factors)), f"trajectory certificate for {n}")
 
 
 def _witness_certificate(witness: SmoothWitness, context: WildContext) -> Certificate:
-    """q = (1/n) * g(l) * s1 * s2 assembled from verified parts."""
-    inv_n = invert_certificate(
-        s_certificate_for_integer(witness.n, context.trajectory_budget)
-    )
+    """q = (1/n) * g(l) * s1 * s2 from verified parts, the S-certificate for n as 1/n."""
     middle = Certificate(
         Side.W,
         Fraction(3 * witness.l + 2, 2 * witness.l + 1),
         ((witness.l, 1),),
     )
-    parts = [(inv_n, 1), (middle, 1)]
+    parts = [(s_certificate_for_integer(witness.n, context.trajectory_budget), 1), (middle, 1)]
     for p, e in sorted(witness.factorization().items()):
         dep = context.recall(p)
         if dep is None:
             raise VerificationError(f"dependency {p} missing while assembling {witness.q}")
         parts.append((dep, e))
-    cert = _w_product(parts)
+    cert = certificate_product(Side.W, parts)
     if cert.target != witness.q:
         raise VerificationError(f"assembled target {cert.target} != {witness.q}")
-    check = verify_certificate(cert)
-    if not check.ok:
-        raise VerificationError(f"assembled certificate for {witness.q} failed: {check.reason}")
-    return cert
+    return _verified(cert, f"assembled certificate for {witness.q}")
 
 
 def w_certificate_for_prime(q: int, context: Optional[WildContext] = None) -> Certificate:
@@ -748,14 +729,13 @@ def w_certificate_for_integer(m: int, context: Optional[WildContext] = None) -> 
     cached = context.recall(m)
     if cached is not None:
         return cached
+    factors = sorted(factorize(m).items())
     # each p comes out of factorize, so it is prime and the cache is asked first
-    cert = _w_product(
-        [
-            (context.recall(p) or w_certificate_for_prime(p, context), e)
-            for p, e in sorted(factorize(m).items())
-        ]
-    )
-    if m > 1 and m not in context.certificates:  # a prime m is stored already
+    parts = [(context.recall(p) or w_certificate_for_prime(p, context), e) for p, e in factors]
+    if factors == [(m, 1)]:  # a prime: built, verified and remembered above
+        return parts[0][0]
+    cert = _verified(certificate_product(Side.W, parts), f"certificate for {m}")
+    if m > 1:
         context.remember(m, cert)
     return cert
 
@@ -774,14 +754,10 @@ def s_certificate_for_rational(
             f"denominator {x.denominator} is divisible by 3; {x} is not in the semigroup"
         )
     cert = s_certificate_for_integer(x.numerator, context.trajectory_budget)
-    if x.denominator > 1:
-        cert = multiply_certificates(
-            cert, invert_certificate(w_certificate_for_integer(x.denominator, context))
-        )
-    check = verify_certificate(cert)
-    if not check.ok:
-        raise VerificationError(f"rational certificate for {x} failed: {check.reason}")
-    return cert
+    if x.denominator == 1:
+        return cert
+    parts = [(cert, 1), (w_certificate_for_integer(x.denominator, context), 1)]
+    return _verified(certificate_product(Side.S, parts), f"rational certificate for {x}")
 
 
 # --------------------------------------------------------------------------
@@ -881,10 +857,7 @@ def onestep_reduce(x: int, k: int, context: Optional[WildContext] = None) -> Red
             factors.append(((v - 1) >> 1 if v & 1 else HALF, 1))
         elif idx > 0:  # the leading multiplication is m_cert already
             factors.extend(w_certificate_for_integer(int(step[1:]), context).factors)
-    wild = Certificate(Side.W, ratio, tuple(factors))
-    check = verify_certificate(wild)
-    if not check.ok:
-        raise VerificationError(f"wild step certificate for x = {x} failed: {check.reason}")
+    wild = _verified(Certificate(Side.W, ratio, tuple(factors)), f"wild step certificate for x = {x}")
     return ReduceTrace(
         x=x,
         k=k,
@@ -1112,9 +1085,10 @@ def induction_driver(
         spot_targets = sorted({checked_to, checked_to // 2 + 1, 27, 1}, reverse=True)
         spot_targets = spot_targets[:SPOT_CERTIFICATES]
         for n in spot_targets:
-            cert = s_certificate_for_integer(n, context.trajectory_budget)
-            if not verify_certificate(cert).ok:
-                raise InductionError(k, 2, n, "spot certificate failed")
+            try:
+                s_certificate_for_integer(n, context.trajectory_budget)
+            except VerificationError as exc:
+                raise InductionError(k, 2, n, str(exc)) from exc
         lines.append(
             InductionLine(
                 k=k,
@@ -1135,11 +1109,9 @@ def induction_driver(
             if m % 3 == 0:
                 continue
             try:
-                cert = w_certificate_for_integer(m, context)
-            except (SmoothPairExhaustionError, BudgetExhaustedError) as exc:
+                w_certificate_for_integer(m, context)
+            except (SmoothPairExhaustionError, BudgetExhaustedError, VerificationError) as exc:
                 raise InductionError(k, 3, m, str(exc)) from exc
-            if not verify_certificate(cert).ok:
-                raise InductionError(k, 3, m, "assembled certificate failed verification")
             built += 1
         m_done = max(m_done, m_bound)
         lines.append(

@@ -1,0 +1,31 @@
+"""The multiply/power certificate chain, kept as an independent reference.
+
+The package composes certificates only through
+certify.certificate_product.  These three helpers build the same
+certificates one multiplication at a time, so the tests can compare the
+two routes; they are not reimplemented over certificate_product.
+"""
+
+from wildsemi.certify import Certificate, CertificateError, Side
+from wildsemi.core import ONE
+
+
+def multiply_certificates(a: Certificate, b: Certificate) -> Certificate:
+    if a.side is not b.side:
+        raise CertificateError(f"cannot multiply certificates across sides {a.side} and {b.side}")
+    return Certificate(a.side, a.target * b.target, a.factors + b.factors)
+
+
+def certificate_power(cert: Certificate, exponent: int) -> Certificate:
+    """cert raised to a positive integer power, exponentwise."""
+    if exponent < 1:
+        raise CertificateError(f"certificate power wants exponent >= 1, got {exponent}")
+    return Certificate(
+        cert.side,
+        cert.target**exponent,
+        tuple((k, exp * exponent) for k, exp in cert.factors),
+    )
+
+
+def identity_certificate(side: Side) -> Certificate:
+    return Certificate(side, ONE, ())

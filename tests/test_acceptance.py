@@ -105,7 +105,7 @@ def test_acceptance_04_obstruction():
             steps = ["T"] * j
             for _ in range(rng.randint(0, 3)):
                 pos = rng.randint(0, len(steps))
-                steps.insert(pos, mul_step(rng.choice((5, 7, 11, 13, 23, 29, 43))))
+                steps.insert(pos, mul_step(rng.choice(BASE_TARGETS)))
             report = obstruction_check(steps, j)
             assert report.value_at_minus_one <= -1
             assert report.negativity_holds

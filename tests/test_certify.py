@@ -14,17 +14,16 @@ from wildsemi.certify import (
     VerifyStatus,
     base_certificate,
     base_table,
-    certificate_power,
+    certificate_product,
     eval_certificate,
     generator_value,
-    identity_certificate,
     invert_certificate,
-    multiply_certificates,
     parse_certificate,
     raw_base_table_report,
     serialize_certificate,
     verify_certificate,
 )
+from reference_chain import certificate_power, identity_certificate, multiply_certificates
 
 
 class TestGeneratorValue:
@@ -138,6 +137,23 @@ class TestAlgebra:
         assert verify_certificate(cubed).ok
         with pytest.raises(CertificateError):
             certificate_power(cert, 0)
+
+    def test_product_matches_the_multiply_chain(self):
+        five, seven = base_certificate(5), base_certificate(7)
+        product = certificate_product(Side.W, [(five, 2), (seven, 1)])
+        assert product == multiply_certificates(certificate_power(five, 2), seven)
+        assert product.target == 175 and verify_certificate(product).ok
+
+    def test_product_takes_a_part_from_the_other_side_as_its_mirror(self):
+        five, thirteen = base_certificate(5), base_certificate(13)
+        assert certificate_product(Side.S, [(thirteen, 1)]) == invert_certificate(thirteen)
+        s_thirteenth = invert_certificate(thirteen)  # S, target 1/13
+        product = certificate_product(Side.W, [(five, 1), (s_thirteenth, 2)])
+        assert product == multiply_certificates(five, certificate_power(thirteen, 2))
+        assert product.target == 5 * 13**2 and verify_certificate(product).ok
+
+    def test_empty_product_is_the_identity(self):
+        assert certificate_product(Side.S, []) == identity_certificate(Side.S)
 
 
 class TestBaseTable:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wildsemi import cli
+from wildsemi import cli, wildprove
+from wildsemi.certify import Certificate
 from wildsemi.cli import EXIT_BUDGET, EXIT_MATH, EXIT_OK, EXIT_USAGE, main
 from wildsemi.residue import dump_coverage, load_builtin_coverage
 from wildsemi.wildprove import VerificationError
@@ -114,6 +115,22 @@ class TestProveCommand:
         assert code == EXIT_MATH
         assert kv(out)["status"] == "fail"
         assert err.startswith("error: forced failure for 13")
+
+    def test_tampered_seed_certificate_fails(self, capsys, tmp_path, monkeypatch):
+        # the context verifies its seeds when it is created
+        real = wildprove.base_certificate
+
+        def tampered(target):
+            cert = real(target)
+            return Certificate(cert.side, cert.target + 1, cert.factors) if target == 5 else cert
+
+        monkeypatch.setattr(wildprove, "base_certificate", tampered)
+        out_file = tmp_path / "w-5.cert"
+        code, out, err = run(capsys, "prove", "w", "5", "--out", str(out_file))
+        assert code == EXIT_MATH
+        assert kv(out)["status"] == "fail"
+        assert err.startswith("error: seed certificate for 5 failed")
+        assert not out_file.exists()
 
     def test_store_reuse(self, capsys, tmp_path):
         store = tmp_path / "cache"

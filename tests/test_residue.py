@@ -1,13 +1,11 @@
 import dataclasses
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wildsemi import residue
 from wildsemi.residue import (
     AffineMap,
     ClassMapError,
@@ -161,6 +159,18 @@ class TestPathRecords:
         issues = verify_record(bad)
         assert issues and "steps do not fit" in issues[0]
 
+    def test_walk_counts_the_odd_steps_of_the_replay(self):
+        for record in load_builtin_coverage().records:
+            values = record.witness
+            odd = sum(1 for step, v in zip(record.steps, values) if step == "T" and v & 1)
+            assert residue._walk(record.cls, record.steps) == (record.map, odd)
+
+    def test_odd_step_count_is_checked_against_c(self, monkeypatch):
+        walk = residue._walk
+        monkeypatch.setattr(residue, "_walk", lambda cls, steps: (walk(cls, steps)[0], walk(cls, steps)[1] + 1))
+        issues = verify_record(self.make())
+        assert issues == ("c = 3/4 does not factor as 3^2 * 1 / 2^2",)
+
 
 class TestSearch:
     def test_depth_two_without_multipliers(self):
@@ -210,32 +220,6 @@ class TestBuildCoverage:
         with pytest.raises(CoverageError) as exc_info:
             build_coverage(4, ())
         assert exc_info.value.uncovered == ("1101", "1110")
-
-    def test_regen_script_rejects_bad_limits_as_usage(self):
-        # the limits are refused before any search runs
-        script = Path(__file__).resolve().parents[1] / "scripts" / "regen_coverage.py"
-        done = subprocess.run(
-            [sys.executable, str(script), "--bits", "12", "--max-muls", "3"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert done.returncode == 2
-        assert "Traceback" not in done.stderr
-        assert "error:" in done.stderr and "max_muls" in done.stderr
-
-    def test_regen_script_rejects_bad_bits_as_usage(self):
-        # refused by build_coverage before the search starts
-        script = Path(__file__).resolve().parents[1] / "scripts" / "regen_coverage.py"
-        done = subprocess.run(
-            [sys.executable, str(script), "--bits", "65"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert done.returncode == 2
-        assert "Traceback" not in done.stderr
-        assert "error:" in done.stderr and "1..64" in done.stderr
 
 
 class TestBuiltinTable:

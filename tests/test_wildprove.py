@@ -17,10 +17,7 @@ import wildsemi
 from wildsemi.certify import (
     Certificate,
     Side,
-    certificate_power,
-    identity_certificate,
     invert_certificate,
-    multiply_certificates,
     serialize_certificate,
     verify_certificate,
 )
@@ -59,6 +56,7 @@ from wildsemi.wildprove import (
     w_certificate_for_integer,
     w_certificate_for_prime,
 )
+from reference_chain import certificate_power, identity_certificate, multiply_certificates
 
 
 def brute_primes(limit):
@@ -534,6 +532,24 @@ class TestAssembly:
         assert len(puts) == len(files) > 30
         assert (tmp_path / "w-1009.cert").exists()  # primes are among them
 
+    def test_every_certificate_is_verified_once(self, monkeypatch):
+        verify = wildsemi.wildprove.verify_certificate
+        checked = []
+        monkeypatch.setattr(
+            wildsemi.wildprove, "verify_certificate", lambda cert: checked.append(cert) or verify(cert)
+        )
+        ctx = WildContext()
+        for m in range(1, 3000):
+            if m % 3:
+                w_certificate_for_integer(m, ctx)
+        # built: the 4 seeds, every prime and composite (all cached), the
+        # empty product for m = 1, and one trajectory certificate per witness
+        built = len(ctx.certificates) + 1 + len(ctx.witnesses)
+        assert len(checked) == built
+        wild = [cert for cert in checked if cert.side is Side.W]
+        assert set(wild) == set(ctx.certificates.values()) | {Certificate(Side.W, Fraction(1), ())}
+        assert len(wild) == len(set(wild)) == len(ctx.certificates) + 1
+
     def test_tampered_dependency_is_caught_under_optimize(self):
         out = run_optimized(
             """
@@ -769,6 +785,36 @@ class TestInduction:
         sweep = [line for line in report.lines if line.hypothesis == 2][0]
         assert sweep.kind == "sweep_capped"
         assert dict(sweep.details)["range"] == "1..100"
+
+    def test_constructor_failures_name_k_hypothesis_and_witness_under_optimize(self):
+        # the driver re-checks nothing; a constructor's VerificationError
+        # is what surfaces, as an InductionError
+        out = run_optimized(
+            """
+            import sys
+            from wildsemi import wildprove
+            from wildsemi.wildprove import InductionError, VerificationError, induction_driver
+
+            def failing_at(real, bad):
+                def constructor(n, *args):
+                    if n == bad:
+                        raise VerificationError(f"certificate for {n} failed: planted")
+                    return real(n, *args)
+                return constructor
+
+            for name, bad in (("s_certificate_for_integer", 2048), ("w_certificate_for_integer", 20)):
+                real = getattr(wildprove, name)
+                setattr(wildprove, name, failing_at(real, bad))
+                try:
+                    induction_driver(12)
+                except InductionError as exc:
+                    print(sys.flags.optimize, exc.k, exc.hypothesis, exc.witness, exc)
+                setattr(wildprove, name, real)
+            """
+        )
+        spot, sweep = out.splitlines()
+        assert spot == "1 12 2 2048 k=12 hypothesis=2 witness=2048: certificate for 2048 failed: planted"
+        assert sweep == "1 12 3 20 k=12 hypothesis=3 witness=20: certificate for 20 failed: planted"
 
     def test_broken_cover_aborts_hypothesis_one(self):
         from wildsemi.residue import CoverageTable, load_builtin_coverage
