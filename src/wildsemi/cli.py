@@ -40,6 +40,7 @@ from .residue import (
     load_coverage,
     search_decreasing_path,
     verify_coverage_table,
+    verify_record,
 )
 from .wildprove import (
     DEFAULT_TRAJECTORY_BOUND,
@@ -202,6 +203,12 @@ def cmd_search(args: argparse.Namespace) -> int:
     for gap in result.uncovered:
         _emit("uncovered", gap)
     _emit("records", len(result.records))
+    issues = [f"{rec.bits}: {issue}" for rec in result.records for issue in verify_record(rec)]
+    for issue in issues:
+        _emit("issue", issue)
+    if issues:
+        _emit("status", "fail")
+        return EXIT_MATH
     ok = result.fully_covered or result.obstructed_only
     _emit("status", "pass" if ok else "gap")
     return EXIT_OK if ok else EXIT_MATH

@@ -100,8 +100,12 @@ def class_bits(cls: ResidueClass) -> str:
 T_STEP = "T"
 
 
+def _is_multiplier(m: int) -> bool:
+    return m > 1 and m % 2 == 1 and m % 3 != 0
+
+
 def mul_step(m: int) -> str:
-    if m <= 1 or m % 2 == 0 or m % 3 == 0:
+    if not _is_multiplier(m):
         raise ValueError(f"multiplier must be odd, > 1 and not divisible by 3, got {m}")
     return f"x{m}"
 
@@ -115,7 +119,7 @@ def step_multiplier(step: str) -> Optional[int]:
             m = int(step[1:], 10)
         except ValueError:
             raise ClassMapError(f"bad step token {step!r}") from None
-        if m <= 1 or m % 2 == 0 or m % 3 == 0:
+        if not _is_multiplier(m):
             raise ClassMapError(f"multiplier must be odd, > 1 and coprime to 3, got {m}")
         return m
     raise ClassMapError(f"bad step token {step!r}")
@@ -153,6 +157,33 @@ class AffineMap:
         return self.c * n + self.d
 
 
+# The walk state (a, b, t, u, r): the value is (a*n + b)/2^t on the
+# class, and u is its residue mod 2^r.
+_State = tuple[int, int, int, int, int]
+
+
+def _t_steps(state: _State, count: int) -> _State:
+    """`count` T steps on a walk state; the caller keeps count <= r."""
+    a, b, t, u, r = state
+    for _ in range(count):
+        if u & 1:
+            a *= 3
+            b = 3 * b + (1 << t)
+            u = (3 * u + 1) >> 1
+        else:
+            u >>= 1
+        t += 1
+        r -= 1
+        u &= (1 << r) - 1
+    return a, b, t, u, r
+
+
+def _times(state: _State, m: int) -> _State:
+    """Multiplication by m on a walk state."""
+    a, b, t, u, r = state
+    return a * m, b * m, t, (u * m) & ((1 << r) - 1), r
+
+
 def symbolic_apply(cls: ResidueClass, steps: Sequence[str]) -> AffineMap:
     """Run the steps symbolically on the class, producing (c, d)."""
     return _walk(cls, steps)[0]
@@ -167,29 +198,20 @@ def _walk(cls: ResidueClass, steps: Sequence[str]) -> tuple[AffineMap, int]:
     required; parity at every T step is determined and every division
     by 2 is exact on the class.
     """
-    a, b, t, odd = 1, 0, 0, 0
-    u, r = cls.residue, cls.j
+    state = (1, 0, 0, cls.residue, cls.j)
+    odd = 0
     for step in steps:
         m = step_multiplier(step)
         if m is not None:
-            a *= m
-            b *= m
-            u = (u * m) & ((1 << r) - 1)
+            state = _times(state, m)
             continue
-        if r == 0:
+        if state[4] == 0:
             raise ClassMapError(
                 f"step list has more than {cls.j} T steps; parity is undetermined past the class depth"
             )
-        if u & 1:
-            a *= 3
-            b = 3 * b + (1 << t)
-            u = (3 * u + 1) >> 1
-            odd += 1
-        else:
-            u >>= 1
-        t += 1
-        r -= 1
-        u &= (1 << r) - 1
+        odd += state[3] & 1
+        state = _t_steps(state, 1)
+    a, b, t = state[:3]
     if t != cls.j:
         raise ClassMapError(f"step list has {t} T steps, class needs exactly {cls.j}")
     return AffineMap(Fraction(a, 1 << t), Fraction(b, 1 << t)), odd
@@ -285,7 +307,7 @@ def multiplier_products(base: Iterable[int], cap: int) -> tuple[int, ...]:
     """All products of base elements (repetition allowed) in (1, cap]."""
     base = sorted(set(base))
     for m in base:
-        if m <= 1 or m % 2 == 0 or m % 3 == 0:
+        if not _is_multiplier(m):
             raise ValueError(f"multiplier base element must be odd, > 1, coprime to 3: {m}")
     found: set[int] = set()
     frontier = [1]
@@ -308,37 +330,50 @@ def find_decreasing_steps(
 
     Order: fewer multiplications first, then smaller multiplier
     products, then earlier insertion positions.  Exactly j T steps;
-    multiplications may sit before any of them.
+    multiplications may sit before any of them.  Candidates are tested
+    on integer walk states grown from the plain walk's prefixes; tokens
+    are built only for the sequence returned.
     """
+    for m in products:
+        if not _is_multiplier(m):
+            raise ClassMapError(f"multiplier must be odd, > 1 and coprime to 3, got {m}")
     j = cls.j
-    base_steps = [T_STEP] * j
+    n0 = cls.smallest_element
+    bound = n0 << j
 
-    def ratio_below_one(steps: list[str]) -> bool:
-        amap = symbolic_apply(cls, steps)
-        return worst_ratio(cls, amap) < 1
+    def decreasing(state: _State) -> bool:
+        # t = j at the end, so a*n0 + b < n0*2^j is worst ratio < 1
+        return state[0] * n0 + state[1] < bound
 
-    if ratio_below_one(base_steps):
-        return tuple(base_steps)
+    def steps_with(*inserts: tuple[int, int]) -> tuple[str, ...]:
+        steps = [T_STEP] * j
+        # insert deeper position first so indices stay valid
+        for pos, m in reversed(inserts):
+            steps.insert(pos, f"x{m}")
+        return tuple(steps)
+
+    prefix = [(1, 0, 0, cls.residue, j)]
+    for _ in range(j):
+        prefix.append(_t_steps(prefix[-1], 1))
+    if decreasing(prefix[j]):
+        return steps_with()
     if limits.max_muls >= 1:
         for m in products:
-            tok = f"x{m}"
             for pos in range(j):
-                steps = base_steps[:pos] + [tok] + base_steps[pos:]
-                if ratio_below_one(steps):
-                    return tuple(steps)
+                if decreasing(_t_steps(_times(prefix[pos], m), j - pos)):
+                    return steps_with((pos, m))
     if limits.max_muls >= 2:
         pairs = sorted(
             itertools.combinations_with_replacement(products, 2),
             key=lambda pq: (pq[0] * pq[1], pq),
         )
         for m1, m2 in pairs:
-            for p1, p2 in itertools.combinations(range(j), 2):
-                steps = list(base_steps)
-                # insert deeper position first so indices stay valid
-                steps.insert(p2, f"x{m2}")
-                steps.insert(p1, f"x{m1}")
-                if ratio_below_one(steps):
-                    return tuple(steps)
+            for p1 in range(j - 1):
+                chain = _times(prefix[p1], m1)
+                for p2 in range(p1 + 1, j):
+                    chain = _t_steps(chain, 1)
+                    if decreasing(_t_steps(_times(chain, m2), j - p2)):
+                        return steps_with((p1, m1), (p2, m2))
             # both multipliers at distinct spots only; a shared spot is
             # the single product m1*m2, already tried if under the cap
     return None

@@ -4,9 +4,11 @@ The package composes certificates only through
 certify.certificate_product.  These three helpers build the same
 certificates one multiplication at a time, so the tests can compare the
 two routes; they are not reimplemented over certificate_product.
+invert_certificate is the checked mirror: it refuses a certificate that
+does not verify, where certificate_product mirrors a part unchecked.
 """
 
-from wildsemi.certify import Certificate, CertificateError, Side
+from wildsemi.certify import Certificate, CertificateError, Side, verify_certificate
 from wildsemi.core import ONE
 
 
@@ -29,3 +31,15 @@ def certificate_power(cert: Certificate, exponent: int) -> Certificate:
 
 def identity_certificate(side: Side) -> Certificate:
     return Certificate(side, ONE, ())
+
+
+def invert_certificate(cert: Certificate) -> Certificate:
+    """Mirror a verifying certificate to the opposite side, reciprocal target.
+
+    The factors stay as they are: each generator of one side is the
+    reciprocal of the same index on the other.
+    """
+    check = verify_certificate(cert)
+    if not check.ok:
+        raise CertificateError(f"refusing to invert a certificate that does not verify: {check.reason}")
+    return Certificate(cert.side.flipped(), 1 / cert.target, cert.factors)

@@ -17,13 +17,12 @@ from wildsemi.certify import (
     certificate_product,
     eval_certificate,
     generator_value,
-    invert_certificate,
     parse_certificate,
-    raw_base_table_report,
     serialize_certificate,
     verify_certificate,
 )
-from reference_chain import certificate_power, identity_certificate, multiply_certificates
+from raw_transcription import raw_base_table_report
+from reference_chain import certificate_power, identity_certificate, invert_certificate, multiply_certificates
 
 
 class TestGeneratorValue:

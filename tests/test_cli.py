@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wildsemi import cli, wildprove
+from wildsemi import cli, residue, wildprove
 from wildsemi.certify import Certificate
 from wildsemi.cli import EXIT_BUDGET, EXIT_MATH, EXIT_OK, EXIT_USAGE, main
 from wildsemi.residue import dump_coverage, load_builtin_coverage
@@ -263,6 +263,14 @@ class TestSearchCommand:
         assert run(capsys, "search", "--class", "5", "--mod", "6")[0] == EXIT_USAGE
         assert run(capsys, "search", "--class", "9", "--mod", "8")[0] == EXIT_USAGE
         assert run(capsys, "search", "--class", "-1", "--mod", "8")[0] == EXIT_USAGE
+
+    def test_every_printed_record_is_verified(self, capsys, monkeypatch):
+        # a search that hands back the plain T^j list, decreasing or not
+        monkeypatch.setattr(residue, "find_decreasing_steps", lambda cls, products, limits: ("T",) * cls.j)
+        code, out, _ = run(capsys, "search", "--class", "7", "--mod", "16")
+        assert code == EXIT_MATH
+        assert "record=1110 class=7 modulus_exponent=4 worst=13/7 steps=T,T,T,T" in out
+        assert out.endswith("issue=1110: class does not decrease: worst ratio 13/7 >= 1\nstatus=fail\n")
 
 
 class TestSmoothCommand:

@@ -1,12 +1,15 @@
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_search
 from wildsemi import residue
 from wildsemi.residue import (
+    DEFAULT_MULTIPLIER_BASE,
     AffineMap,
     ClassMapError,
     CoverageError,
@@ -117,6 +120,25 @@ class TestSymbolicApply:
             n = 2**j
         assert amap.apply(n) == replay_steps(n, steps)[-1]
 
+    @given(
+        st.integers(1, 20),
+        st.lists(st.sampled_from(multiplier_products(DEFAULT_MULTIPLIER_BASE, 50)), max_size=4),
+        st.data(),
+    )
+    def test_walk_matches_replay_on_members(self, j, muls, data):
+        # multiplications anywhere among the j T steps; the map and the
+        # odd-step count agree with the concrete run of each sampled member
+        res = data.draw(st.integers(0, 2**j - 1))
+        steps = ["T"] * j
+        for m in muls:
+            steps.insert(data.draw(st.integers(0, len(steps))), mul_step(m))
+        amap, odd = residue._walk(ResidueClass(res, j), steps)
+        for lift in data.draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=4)):
+            n = res + lift * 2**j or 2**j  # 2^j stands in for the trivial member 0
+            values = replay_steps(n, steps)
+            assert amap.apply(n) == values[-1]
+            assert odd == sum(1 for step, v in zip(steps, values) if step == "T" and v & 1)
+
 
 class TestAffineMap:
     def test_apply(self):
@@ -201,6 +223,55 @@ class TestSearch:
     def test_deep_prefix_rejected(self):
         with pytest.raises(ValueError):
             search_decreasing_path("000", limits=SearchLimits(max_depth=2))
+
+
+class TestSearchMatchesReference:
+    """The integer-state search returns what the symbolic_apply search returns."""
+
+    @pytest.mark.parametrize(
+        "limits",
+        [SearchLimits(), SearchLimits(max_muls=0), SearchLimits(max_muls=1), SearchLimits(mul_cap=25)],
+        ids=["default", "max_muls=0", "max_muls=1", "mul_cap=25"],
+    )
+    def test_every_class_to_depth_twelve(self, limits):
+        products = multiplier_products(DEFAULT_MULTIPLIER_BASE, limits.mul_cap)
+        for j in range(1, 13):
+            for r in range(2**j - 1):  # every class but the all-ones one
+                cls = ResidueClass(r, j)
+                expected = reference_search.find_decreasing_steps(cls, products, limits)
+                assert find_decreasing_steps(cls, products, limits) == expected, cls
+
+    def test_every_node_of_the_cover_mod_2_44(self, cover_44):
+        _, searched = cover_44
+        assert len(searched) == 76
+        for (cls, products, limits), steps in searched:
+            assert reference_search.find_decreasing_steps(cls, products, limits) == steps, cls
+
+    def test_cover_mod_2_44_table_is_pinned(self, cover_44):
+        table, _ = cover_44
+        digest = hashlib.sha256(dump_coverage(table).encode()).hexdigest()
+        assert digest == "1f3de0b219ae62632a35e2ff09145dfdfd9cce41fd1113bbfa163eb02ceb8984"
+
+    def test_junk_products_are_refused(self):
+        with pytest.raises(ClassMapError):
+            find_decreasing_steps(ResidueClass(7, 4), (5, 9), SearchLimits())
+
+
+@pytest.fixture(scope="module")
+def cover_44():
+    """build_coverage(44) with every search call it made and its result."""
+    searched = []
+    search = residue.find_decreasing_steps
+
+    def recording(*args):
+        steps = search(*args)
+        searched.append((args, steps))
+        return steps
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residue, "find_decreasing_steps", recording)
+        table = build_coverage(44)
+    return table, searched
 
 
 class TestBuildCoverage:

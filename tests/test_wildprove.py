@@ -17,7 +17,6 @@ import wildsemi
 from wildsemi.certify import (
     Certificate,
     Side,
-    invert_certificate,
     serialize_certificate,
     verify_certificate,
 )
@@ -56,7 +55,7 @@ from wildsemi.wildprove import (
     w_certificate_for_integer,
     w_certificate_for_prime,
 )
-from reference_chain import certificate_power, identity_certificate, multiply_certificates
+from reference_chain import certificate_power, identity_certificate, invert_certificate, multiply_certificates
 
 
 def brute_primes(limit):
