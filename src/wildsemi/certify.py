@@ -32,9 +32,6 @@ class Side(enum.Enum):
     S = "S"
     W = "W"
 
-    def flipped(self) -> "Side":
-        return Side.W if self is Side.S else Side.S
-
     def __str__(self) -> str:
         return self.value
 

@@ -20,12 +20,11 @@ driver that stitches all of it together.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .certify import (
     Certificate,
@@ -39,6 +38,11 @@ from .certify import (
 )
 from .core import DEFAULT_TRAJECTORY_BUDGET, format_rational, t_iterate, trajectory_to_one
 from .residue import CoverageTable, load_builtin_coverage, replay_steps, verify_coverage_table
+
+# numpy is imported inside the sieves and the reach sweep, the only code
+# that builds arrays, so prove, verify, coverage and search never load it
+if TYPE_CHECKING:
+    import numpy as np
 
 ONESTEP_BOUND = Fraction(1235, 1264)
 # (130/128) * (76/79): lift stretch at j >= 7 times the cover's worst ratio
@@ -99,6 +103,8 @@ class PrimeSieve:
 
     @classmethod
     def build(cls, limit: int) -> "PrimeSieve":
+        import numpy as np
+
         if limit < 2:
             raise ValueError(f"sieve limit must be >= 2, got {limit}")
         flags = np.ones(limit + 1, dtype=bool)
@@ -121,6 +127,8 @@ class PrimeSieve:
         return int(self.counts[x]) if x >= 2 else 0
 
     def primes(self, lo: int = 2, hi: Optional[int] = None) -> np.ndarray:
+        import numpy as np
+
         hi = self.limit if hi is None else hi
         if hi > self.limit:
             raise SieveTooSmallError(f"sieve limit {self.limit} < {hi}")
@@ -129,7 +137,7 @@ class PrimeSieve:
 
 
 TRIAL_BOUND = 1000  # factorize and is_prime_int trial-divide by the primes below it
-SMALL_PRIMES = tuple(int(p) for p in PrimeSieve.build(TRIAL_BOUND - 1).primes())
+SMALL_PRIMES = tuple(n for n in range(2, TRIAL_BOUND) if all(n % d for d in range(2, math.isqrt(n) + 1)))
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_EXACT_BELOW = 3317044064679887385961981
 # psi_13 (Sorenson & Webster 2017; OEIS A014233), the least composite
@@ -303,6 +311,8 @@ def compute_a_r(q: int) -> tuple[int, int]:
 
 def smooth_residues(q: int, sieve: Optional[PrimeSieve] = None) -> tuple[int, ...]:
     """All q-smooth s in (0, 6q) coprime to 6q, 1 included, ascending."""
+    import numpy as np
+
     if q < 5 or not is_prime_int(q):
         raise ValueError(f"smooth_residues wants a prime >= 5, got {q}")
     limit = 6 * q - 1
@@ -358,6 +368,8 @@ def smooth_counts_up_to(q_max: int) -> np.ndarray:
     upward, and a cumulative sum finishes the job.  Independent of the
     prime-counting route on purpose; the two are compared, not merged.
     """
+    import numpy as np
+
     limit = 6 * q_max
     root = math.isqrt(limit)
     primes = PrimeSieve.build(limit).primes(2, limit)
@@ -430,6 +442,8 @@ def pi_inequality_check(q: int, sieve: Optional[PrimeSieve] = None) -> PiInequal
 
 def pi_inequality_range(q_min: int, q_max: int) -> RangeCheckSummary:
     """The inequality for every integer q in [q_min, q_max], batched."""
+    import numpy as np
+
     if q_min <= 256:
         raise ValueError(f"range must start above 256, got {q_min}")
     if q_min > q_max:
@@ -535,16 +549,25 @@ def find_smooth_pair(q: int) -> SmoothWitness:
 
 
 class CertStore:
-    """Directory of certificate files plus a rewritten store.idx index.
+    """Directory of certificate files plus a store.idx index.
 
     File names: w-<m>.cert and s-<n>.cert for integer targets,
     s-<num>_<den>.cert for rational S targets.  The index lists
     `<filename> <target> <status>` per line, sorted.
+
+    Each put lists the directory and writes the index from memory: a
+    file is read, parsed and verified the first time an index write
+    needs its line, once per store object, and again only after this
+    store overwrites it.  A file another process rewrites in place
+    keeps its old line until a fresh store writes the index.  get
+    re-verifies every file it loads.  Files and the index are written
+    to a temporary name, which does not match *.cert, and then renamed.
     """
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._lines: dict[str, str] = {}  # file name -> its index line
 
     def _filename(self, cert: Certificate) -> Optional[str]:
         t = cert.target
@@ -554,12 +577,21 @@ class CertStore:
             return f"s-{t.numerator}.cert"
         return f"s-{t.numerator}_{t.denominator}.cert"
 
+    def _write(self, path: Path, text: str) -> None:
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+
     def put(self, cert: Certificate) -> Optional[Path]:
         name = self._filename(cert)
         if name is None:
             return None
         path = self.root / name
-        path.write_text(serialize_certificate(cert))
+        self._write(path, serialize_certificate(cert))
+        self._lines.pop(name, None)
         self._rewrite_index()
         return path
 
@@ -578,16 +610,22 @@ class CertStore:
         return cert
 
     def _rewrite_index(self) -> None:
-        lines = []
+        # names gone from the directory drop out; only unseen ones are read
+        lines: dict[str, str] = {}
         for path in sorted(self.root.glob("*.cert")):
-            try:
-                cert = parse_certificate(path.read_text())
-                status = verify_certificate(cert).status.value
-                target = format_rational(cert.target)
-            except ValueError:
-                status, target = "unparseable", "?"
-            lines.append(f"{path.name} {target} {status}")
-        (self.root / "store.idx").write_text("\n".join(lines) + "\n" if lines else "")
+            line = self._lines.get(path.name)
+            if line is None:
+                try:
+                    cert = parse_certificate(path.read_text())
+                    status = verify_certificate(cert).status.value
+                    target = format_rational(cert.target)
+                except ValueError:
+                    status, target = "unparseable", "?"
+                line = f"{path.name} {target} {status}"
+            lines[path.name] = line
+        self._lines = lines
+        text = "\n".join(lines.values())
+        self._write(self.root / "store.idx", text + "\n" if lines else "")
 
 
 class WildContext:
@@ -595,8 +633,9 @@ class WildContext:
 
     Holds verified W-certificates keyed by integer target (seeded with
     2, 5, 7, 11 only, verified here; the other built-ins are
-    reconstructed, not assumed), smooth witnesses, the coverage table,
-    the trajectory budget, and an optional persistent store.
+    reconstructed, not assumed), verified trajectory S-certificates
+    keyed by integer, smooth witnesses, the coverage table, the
+    trajectory budget, and an optional persistent store.
     """
 
     def __init__(
@@ -614,6 +653,7 @@ class WildContext:
         for seed in (5, 7, 11):
             self.certificates[seed] = _verified(base_certificate(seed), f"seed certificate for {seed}")
         self.witnesses: dict[int, SmoothWitness] = {}
+        self.s_certificates: dict[int, Certificate] = {}
 
     @property
     def coverage(self) -> CoverageTable:
@@ -627,6 +667,14 @@ class WildContext:
             w = find_smooth_pair(q)
             self.witnesses[q] = w
         return w
+
+    def s_certificate(self, n: int) -> Certificate:
+        """The trajectory S-certificate of n, built and verified once per context."""
+        cert = self.s_certificates.get(n)
+        if cert is None:
+            cert = s_certificate_for_integer(n, self.trajectory_budget)
+            self.s_certificates[n] = cert
+        return cert
 
     def remember(self, m: int, cert: Certificate) -> None:
         self.certificates[m] = cert
@@ -673,7 +721,7 @@ def _witness_certificate(witness: SmoothWitness, context: WildContext) -> Certif
         Fraction(3 * witness.l + 2, 2 * witness.l + 1),
         ((witness.l, 1),),
     )
-    parts = [(s_certificate_for_integer(witness.n, context.trajectory_budget), 1), (middle, 1)]
+    parts = [(context.s_certificate(witness.n), 1), (middle, 1)]
     for p, e in sorted(witness.factorization().items()):
         dep = context.recall(p)
         if dep is None:
@@ -753,7 +801,7 @@ def s_certificate_for_rational(
         raise NotInSemigroupError(
             f"denominator {x.denominator} is divisible by 3; {x} is not in the semigroup"
         )
-    cert = s_certificate_for_integer(x.numerator, context.trajectory_budget)
+    cert = context.s_certificate(x.numerator)
     if x.denominator == 1:
         return cert
     parts = [(cert, 1), (w_certificate_for_integer(x.denominator, context), 1)]
@@ -902,6 +950,8 @@ def _descend(start: int, stop: int, floor: int) -> tuple[np.ndarray, np.ndarray]
     Returns the value reached and the number of steps taken, per n.
     Values past REACH_INT64_LIMIT finish the descent in Python ints.
     """
+    import numpy as np
+
     v = np.arange(start, stop, dtype=np.int64)
     pos = np.arange(stop - start)
     reached = np.empty(stop - start, dtype=np.int64)
@@ -943,6 +993,8 @@ def reach_one_range(bound: int) -> ReachOneStats:
     so the counts are those of the one-start-at-a-time descent; starts
     whose values leave int64 range finish in Python ints.
     """
+    import numpy as np
+
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     steps = np.zeros(bound + 1, dtype=np.int64)
@@ -1086,7 +1138,7 @@ def induction_driver(
         spot_targets = spot_targets[:SPOT_CERTIFICATES]
         for n in spot_targets:
             try:
-                s_certificate_for_integer(n, context.trajectory_budget)
+                context.s_certificate(n)
             except VerificationError as exc:
                 raise InductionError(k, 2, n, str(exc)) from exc
         lines.append(

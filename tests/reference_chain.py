@@ -42,4 +42,4 @@ def invert_certificate(cert: Certificate) -> Certificate:
     check = verify_certificate(cert)
     if not check.ok:
         raise CertificateError(f"refusing to invert a certificate that does not verify: {check.reason}")
-    return Certificate(cert.side.flipped(), 1 / cert.target, cert.factors)
+    return Certificate(Side.W if cert.side is Side.S else Side.S, 1 / cert.target, cert.factors)

@@ -1,0 +1,24 @@
+"""The store index as CertStore wrote it before it kept one in memory.
+
+reference_index re-reads, re-parses and re-verifies every *.cert file
+in the directory on each call, the loop CertStore ran on every put; the
+store's in-memory index must write the same store.idx.
+"""
+
+from pathlib import Path
+
+from wildsemi.certify import parse_certificate, verify_certificate
+from wildsemi.core import format_rational
+
+
+def reference_index(root: Path) -> str:
+    lines = []
+    for path in sorted(root.glob("*.cert")):
+        try:
+            cert = parse_certificate(path.read_text())
+            status = verify_certificate(cert).status.value
+            target = format_rational(cert.target)
+        except ValueError:
+            status, target = "unparseable", "?"
+        lines.append(f"{path.name} {target} {status}")
+    return "\n".join(lines) + "\n" if lines else ""

@@ -1,9 +1,16 @@
 """End-to-end runs of the command-line front end, in process."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import wildsemi
 from wildsemi import cli, residue, wildprove
 from wildsemi.certify import Certificate
 from wildsemi.cli import EXIT_BUDGET, EXIT_MATH, EXIT_OK, EXIT_USAGE, main
@@ -328,6 +335,43 @@ class TestInductCommand:
     def test_validation(self, capsys):
         assert run(capsys, "induct", "11")[0] == EXIT_USAGE
         assert run(capsys, "induct", "12", "--traj-bound", "0")[0] == EXIT_USAGE
+
+
+class TestImportPath:
+    def test_commands_without_arrays_never_import_numpy(self, tmp_path):
+        script = """
+            import contextlib, io, sys
+            from wildsemi import cli
+
+            def run(*argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    return cli.main(list(argv))
+
+            codes = [
+                run("prove", "w", "13", "--out", "w.cert"),
+                run("prove", "w", "1001", "--store", "db", "--out", "m.cert"),
+                run("prove", "s", "27/5", "--out", "s.cert"),
+                run("verify", "w.cert"),
+                run("coverage", "--fixture", "--bits", "12"),
+                run("search", "--class", "2047", "--mod", "2048"),
+                run("smooth", "1009"),
+            ]
+            print(codes, "numpy" in sys.modules)
+            print(run("induct", "13"), "numpy" in sys.modules)
+            """
+        src = str(Path(wildsemi.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        # induct runs the reach-one sweep, which imports numpy on first use
+        assert done.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0] False", "0 True"]
 
 
 class TestParsing:

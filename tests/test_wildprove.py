@@ -22,7 +22,10 @@ from wildsemi.certify import (
 )
 from wildsemi.residue import replay_steps
 from wildsemi.wildprove import (
+    DEFAULT_TRAJECTORY_BOUND,
     ONESTEP_BOUND,
+    SMALL_PRIMES,
+    TRIAL_BOUND,
     BudgetExhaustedError,
     CertStore,
     InductionError,
@@ -56,6 +59,7 @@ from wildsemi.wildprove import (
     w_certificate_for_prime,
 )
 from reference_chain import certificate_power, identity_certificate, invert_certificate, multiply_certificates
+from reference_store import reference_index
 
 
 def brute_primes(limit):
@@ -167,6 +171,10 @@ class TestPrimeSieve:
             sieve.pi(51)
         with pytest.raises(SieveTooSmallError):
             sieve.primes(2, 51)
+
+    def test_trial_primes_match_the_sieve(self):
+        assert SMALL_PRIMES == tuple(int(p) for p in PrimeSieve.build(TRIAL_BOUND - 1).primes())
+        assert len(SMALL_PRIMES) == 168
 
 
 class TestIntegerHelpers:
@@ -542,8 +550,12 @@ class TestAssembly:
             if m % 3:
                 w_certificate_for_integer(m, ctx)
         # built: the 4 seeds, every prime and composite (all cached), the
-        # empty product for m = 1, and one trajectory certificate per witness
-        built = len(ctx.certificates) + 1 + len(ctx.witnesses)
+        # empty product for m = 1, and one trajectory certificate per
+        # distinct n among the witnesses, which share them
+        distinct_n = {w.n for w in ctx.witnesses.values()}
+        assert len(distinct_n) < len(ctx.witnesses)
+        assert set(ctx.s_certificates) == distinct_n
+        built = len(ctx.certificates) + 1 + len(distinct_n)
         assert len(checked) == built
         wild = [cert for cert in checked if cert.side is Side.W]
         assert set(wild) == set(ctx.certificates.values()) | {Certificate(Side.W, Fraction(1), ())}
@@ -608,6 +620,43 @@ class TestCertStore:
         cert = w_certificate_for_prime(13, first)
         second = WildContext(store=store)
         assert second.recall(13) == cert
+
+    def test_index_matches_the_reference_after_every_put(self, tmp_path):
+        ctx = WildContext()
+        good = w_certificate_for_integer(14, ctx)
+        # planted before the store opens: a file whose product misses its
+        # target, and one that does not parse
+        (tmp_path / "w-14.cert").write_text(serialize_certificate(Certificate(Side.W, Fraction(15), good.factors)))
+        (tmp_path / "w-19.cert").write_text("not a certificate\n")
+        store, other = CertStore(tmp_path), CertStore(tmp_path)
+        for m in (13, 17, 20, 23):
+            store.put(w_certificate_for_integer(m, ctx))
+            other.put(w_certificate_for_integer(m + 30, ctx))  # a file added behind the store's back
+            idx = (tmp_path / "store.idx").read_text()
+            assert idx == reference_index(tmp_path)
+            assert sorted(p.name for p in tmp_path.iterdir() if not p.name.endswith(".cert")) == ["store.idx"]
+        assert "w-14.cert 15/1 mismatch\n" in idx and "w-19.cert ? unparseable\n" in idx
+        (tmp_path / "w-53.cert").unlink()
+        store.put(good)  # overwrites the tampered file
+        idx = (tmp_path / "store.idx").read_text()
+        assert idx == reference_index(tmp_path)
+        assert "w-14.cert 14/1 pass\n" in idx and "w-53.cert" not in idx
+
+    def test_puts_parse_each_file_once(self, tmp_path, monkeypatch):
+        ctx = WildContext()
+        certs = [w_certificate_for_integer(m, ctx) for m in range(1000, 1090) if m % 3]
+        existing, new = certs[:40], certs[40:]
+        for cert in existing:
+            (tmp_path / f"w-{cert.target.numerator}.cert").write_text(serialize_certificate(cert))
+        parse = wildsemi.wildprove.parse_certificate
+        parsed = []
+        monkeypatch.setattr(wildsemi.wildprove, "parse_certificate", lambda text: parsed.append(text) or parse(text))
+        store = CertStore(tmp_path)
+        for cert in new:
+            store.put(cert)
+        # one parse per existing file on the first put, then one per put
+        assert len(parsed) == len(existing) + len(new) == 60
+        assert (tmp_path / "store.idx").read_text() == reference_index(tmp_path)
 
 
 class TestLift:
@@ -778,6 +827,19 @@ class TestInduction:
         for m in range(2, m_bound + 1):
             if m % 3 != 0:
                 assert ctx.recall(m) is not None
+
+    def test_each_s_certificate_is_built_once(self, monkeypatch):
+        build = wildsemi.wildprove.s_certificate_for_integer
+        built = []
+        monkeypatch.setattr(
+            wildsemi.wildprove, "s_certificate_for_integer", lambda n, budget: built.append(n) or build(n, budget)
+        )
+        ctx = WildContext(trajectory_budget=DEFAULT_TRAJECTORY_BOUND)
+        induction_driver(14, context=ctx)
+        assert len(built) == len(set(built)) == len(ctx.s_certificates)
+        witness_n = {w.n for w in ctx.witnesses.values()}
+        assert witness_n <= set(built) and len(witness_n) < len(ctx.witnesses)
+        assert 27 in built  # a hypothesis-2 spot of every level
 
     def test_capped_sweep_is_reported_as_capped(self):
         report = induction_driver(12, trajectory_bound=100)
