@@ -93,9 +93,16 @@ def _verified(cert: Certificate, what: str) -> Certificate:
 # --------------------------------------------------------------------------
 
 
+SIEVE_LIMIT_MAX = 2**31 - 1  # largest sieve limit; pi(x) <= x then fits int32
+
+
 @dataclass(frozen=True)
 class PrimeSieve:
-    """Eratosthenes table with prefix prime counts for exact pi queries."""
+    """Eratosthenes table with prefix prime counts for exact pi queries.
+
+    counts[x] = pi(x) in int32: a limit above SIEVE_LIMIT_MAX is refused
+    before anything is allocated, so every count fits.
+    """
 
     limit: int
     flags: np.ndarray
@@ -105,14 +112,17 @@ class PrimeSieve:
     def build(cls, limit: int) -> "PrimeSieve":
         import numpy as np
 
-        if limit < 2:
-            raise ValueError(f"sieve limit must be >= 2, got {limit}")
+        if not 2 <= limit <= SIEVE_LIMIT_MAX:
+            raise ValueError(f"sieve limit must be in 2..{SIEVE_LIMIT_MAX}, got {limit}")
         flags = np.ones(limit + 1, dtype=bool)
         flags[:2] = False
         for p in range(2, math.isqrt(limit) + 1):
             if flags[p]:
                 flags[p * p :: p] = False
-        counts = np.cumsum(flags, dtype=np.int64)
+        # summed in place: cumsum(flags, dtype=np.int32) would first copy
+        # the flags as int32, a second array of the counts' size
+        counts = flags.astype(np.int32)
+        np.cumsum(counts, out=counts)
         return cls(limit=limit, flags=flags, counts=counts)
 
     def is_prime(self, n: int) -> bool:
@@ -309,6 +319,38 @@ def compute_a_r(q: int) -> tuple[int, int]:
     return a, r
 
 
+def _unit_gpf(n: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray]:
+    """Greatest prime factor of 6i + 1 and of 6i + 5 for 0 <= i < n, as int32 (0 at 1).
+
+    Only the units mod 6 are sieved.  A prime p <= sqrt(6n) steps
+    through each class from its least multiple p*c there, c = r*p mod 6
+    (every unit mod 6 is its own inverse), ascending so the largest
+    factor is written last.  An s < 6n has at most one prime factor
+    above sqrt(6n), and it is gpf(s): those primes are scattered once
+    per cofactor c prime to 6, split by p mod 6 so the class of p*c is
+    known.  The sieve must reach 6n - 1; its cap SIEVE_LIMIT_MAX keeps
+    every p*c in int32.
+    """
+    import numpy as np
+
+    limit = 6 * n - 1
+    root = math.isqrt(limit)
+    primes = sieve.primes(5, limit).astype(np.int32)
+    small = int(np.searchsorted(primes, root, side="right"))
+    gpf = {r: np.zeros(n, dtype=np.int32) for r in (1, 5)}
+    for p in primes[:small].tolist():
+        for r, g in gpf.items():
+            g[(r * p % 6) * p // 6 :: p] = p
+    big = primes[small:]
+    cofactors = [c for c in range(1, root + 1) if c % 2 and c % 3]
+    tops = limit // np.array(cofactors, dtype=np.int32)
+    for r in (1, 5):
+        ps = big[big % 6 == r]
+        for c, k in zip(cofactors, np.searchsorted(ps, tops, side="right").tolist()):
+            gpf[r * c % 6][ps[:k] * c // 6] = ps[:k]
+    return gpf[1], gpf[5]
+
+
 def smooth_residues(q: int, sieve: Optional[PrimeSieve] = None) -> tuple[int, ...]:
     """All q-smooth s in (0, 6q) coprime to 6q, 1 included, ascending."""
     import numpy as np
@@ -318,14 +360,12 @@ def smooth_residues(q: int, sieve: Optional[PrimeSieve] = None) -> tuple[int, ..
     limit = 6 * q - 1
     if sieve is None or sieve.limit < limit:
         sieve = PrimeSieve.build(limit)
-    gpf = np.zeros(limit + 1, dtype=np.int64)
-    for p in sieve.primes(2, limit):
-        gpf[p::p] = p
-    s = np.arange(limit + 1)
-    keep = (s % 2 == 1) & (s % 3 != 0) & (gpf < q) & (s > 0)
+    gpf1, gpf5 = _unit_gpf(q, sieve)
+    i = np.arange(q, dtype=np.int64)
     # gpf < q already rules out the multiples q and 5q, so coprimality
     # to 6q needs no extra test
-    return tuple(int(v) for v in s[keep])
+    s = np.concatenate((6 * i[gpf1 < q] + 1, 6 * i[gpf5 < q] + 5))
+    return tuple(np.sort(s).tolist())
 
 
 @dataclass(frozen=True)
@@ -362,32 +402,24 @@ def smooth_majority_check(q: int, sieve: Optional[PrimeSieve] = None) -> SmoothM
 def smooth_counts_up_to(q_max: int) -> np.ndarray:
     """counts[q] = number of q-smooth s in (0, 6q) coprime to 6q, for all q <= q_max.
 
-    One shared greatest-prime-factor sieve up to 6*q_max: an s coprime
-    to 6 is counted for prime q exactly when q > gpf(s) and 6q > s, so
-    each s contributes from threshold max(floor(s/6) + 1, gpf(s) + 1)
-    upward, and a cumulative sum finishes the job.  Independent of the
-    prime-counting route on purpose; the two are compared, not merged.
+    One greatest-prime-factor sieve over the units s = 6i + 1 and
+    s = 6i + 5 with i < q_max (`_unit_gpf`, int32): such an s is counted
+    for prime q exactly when q > gpf(s) and q > i, so each s contributes
+    from threshold max(i + 1, gpf(s) + 1) upward; one bincount per
+    class, their sum and a cumulative sum finish the job.  Independent
+    of the prime-counting route on purpose; the two are compared, not
+    merged.
     """
     import numpy as np
 
-    limit = 6 * q_max
-    root = math.isqrt(limit)
-    primes = PrimeSieve.build(limit).primes(2, limit)
-    small = np.searchsorted(primes, root, side="right")
-    gpf = np.zeros(limit + 1, dtype=np.int64)
-    for p in primes[:small]:
-        gpf[p::p] = p
-    # s <= limit has at most one prime factor above sqrt(limit), and it
-    # is gpf(s): one scatter per cofactor c instead of one slice per prime
-    big = primes[small:]
-    for c in range(1, root + 1):
-        ps = big[: np.searchsorted(big, limit // c, side="right")]
-        gpf[ps * c] = ps
-    s = np.arange(limit + 1, dtype=np.int64)
-    coprime6 = (s % 2 == 1) & (s % 3 != 0)
-    thresholds = np.maximum(s // 6 + 1, gpf + 1)[coprime6]
-    thresholds = thresholds[thresholds <= q_max]
-    counts = np.bincount(thresholds, minlength=q_max + 1)
+    # the sieve is built first, so a q_max it refuses allocates nothing,
+    # and is dropped before the counting temporaries exist
+    unit_gpf = _unit_gpf(q_max, PrimeSieve.build(6 * q_max - 1))
+    after = np.arange(1, q_max + 1, dtype=np.int32)  # i + 1
+    counts = np.zeros(q_max + 1, dtype=np.int64)
+    for gpf in unit_gpf:
+        thresholds = np.maximum(after, gpf + 1)
+        counts += np.bincount(thresholds[thresholds <= q_max], minlength=q_max + 1)
     return np.cumsum(counts)
 
 
@@ -942,6 +974,7 @@ class ReachOneStats:
 REACH_CHUNK = 1 << 16  # starts descended together; temporaries stay a few MB
 REACH_INT64_LIMIT = (2**63 - 2) // 3  # largest v whose 3v + 1 fits in int64
 REACH_STEP_GUARD = 10 * DEFAULT_TRAJECTORY_BUDGET
+REACH_STEPS_MAX = 2**16 - 1  # step counts are stored as uint16
 
 
 def _descend(start: int, stop: int, floor: int) -> tuple[np.ndarray, np.ndarray]:
@@ -991,19 +1024,26 @@ def reach_one_range(bound: int) -> ReachOneStats:
     2^i, where every step count is already known, and that count is
     added.  A start's total does not depend on where its descent stops,
     so the counts are those of the one-start-at-a-time descent; starts
-    whose values leave int64 range finish in Python ints.
+    whose values leave int64 range finish in Python ints.  Counts are
+    kept as uint16; a chunk with a count above REACH_STEPS_MAX raises
+    BudgetExhaustedError naming its starts instead of wrapping.
     """
     import numpy as np
 
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    steps = np.zeros(bound + 1, dtype=np.int64)
+    steps = np.zeros(bound + 1, dtype=np.uint16)
     for i in range(1, bound.bit_length()):
         floor, top = 1 << i, min(2 << i, bound + 1)
         for start in range(floor, top, REACH_CHUNK):
             stop = min(start + REACH_CHUNK, top)
             reached, count = _descend(start, stop, floor)
-            steps[start:stop] = count + steps[reached]
+            total = count + steps[reached]
+            if total.max() > REACH_STEPS_MAX:
+                raise BudgetExhaustedError(
+                    f"a step count from {start} to {stop - 1} exceeds {REACH_STEPS_MAX}"
+                )
+            steps[start:stop] = total
     max_at = int(np.argmax(steps[1:])) + 1  # the first n with the most steps
     return ReachOneStats(
         bound=bound, max_steps=int(steps[max_at]), max_steps_at=max_at, step_counts=steps

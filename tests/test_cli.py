@@ -321,6 +321,13 @@ class TestPiCheckCommand:
         assert run(capsys, "pi-check", "200", "300")[0] == EXIT_USAGE
         assert run(capsys, "pi-check", "300", "299")[0] == EXIT_USAGE
 
+    def test_sieve_past_int32_is_a_usage_error(self, capsys):
+        # 6 * q_max = 2.4e9 needs a sieve past 2^31 - 1; refused before it is built
+        code, out, err = run(capsys, "pi-check", "257", "400000000")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: sieve limit must be in 2..2147483647")
+
 
 class TestInductCommand:
     def test_base_run(self, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -24,6 +25,8 @@ from wildsemi.residue import replay_steps
 from wildsemi.wildprove import (
     DEFAULT_TRAJECTORY_BOUND,
     ONESTEP_BOUND,
+    REACH_STEPS_MAX,
+    SIEVE_LIMIT_MAX,
     SMALL_PRIMES,
     TRIAL_BOUND,
     BudgetExhaustedError,
@@ -130,6 +133,17 @@ def chain_witness_certificate(q, context):
     return cert
 
 
+def per_prime_smooth_counts(q_max):
+    """Reference: the greatest prime factor of every s <= 6*q_max by one slice per prime."""
+    limit = 6 * q_max
+    gpf = np.zeros(limit + 1, dtype=np.int64)
+    for p in PrimeSieve.build(limit).primes():
+        gpf[p::p] = p
+    s = np.arange(limit + 1)
+    thresholds = np.maximum(s // 6 + 1, gpf + 1)[(s % 2 == 1) & (s % 3 != 0)]
+    return np.cumsum(np.bincount(thresholds[thresholds <= q_max], minlength=q_max + 1))
+
+
 def loop_reach_one(bound):
     """Reference: descend each n on its own until it drops below n."""
     steps = np.zeros(bound + 1, dtype=np.int64)
@@ -143,6 +157,15 @@ def loop_reach_one(bound):
         if total > max_steps:
             max_steps, max_at = total, n
     return steps, max_steps, max_at
+
+
+def flat_descent(steps):
+    """A stand-in for _descend: every start lands on 1 after `steps` steps."""
+
+    def descend(start, stop, floor):
+        return np.ones(stop - start, dtype=np.int64), np.full(stop - start, steps, dtype=np.int64)
+
+    return descend
 
 
 class TestPrimeSieve:
@@ -171,6 +194,22 @@ class TestPrimeSieve:
             sieve.pi(51)
         with pytest.raises(SieveTooSmallError):
             sieve.primes(2, 51)
+
+    @pytest.mark.parametrize("limit", [2, 3, 100, 9973, 10**5])
+    def test_counts_are_int32_prefix_counts(self, limit):
+        counts = PrimeSieve.build(limit).counts
+        assert counts.dtype == np.int32
+        plain = itertools.accumulate(int(is_prime_int(n)) for n in range(limit + 1))
+        assert counts.tolist() == list(plain)
+
+    def test_refuses_a_limit_past_int32_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the sieve allocated before checking its limit")
+
+        monkeypatch.setattr(np, "ones", no_allocation)
+        for limit in (SIEVE_LIMIT_MAX + 1, 6 * 400_000_000, 1):
+            with pytest.raises(ValueError, match="sieve limit"):
+                PrimeSieve.build(limit)
 
     def test_trial_primes_match_the_sieve(self):
         assert SMALL_PRIMES == tuple(int(p) for p in PrimeSieve.build(TRIAL_BOUND - 1).primes())
@@ -320,16 +359,13 @@ class TestSmoothResidues:
         assert got == expected
 
     def test_counts_match_a_per_prime_sieve(self):
-        # reference: the greatest prime factor by one slice per prime
-        q_max = 3000
-        limit = 6 * q_max
-        gpf = np.zeros(limit + 1, dtype=np.int64)
-        for p in PrimeSieve.build(limit).primes():
-            gpf[p::p] = p
-        s = np.arange(limit + 1)
-        thresholds = np.maximum(s // 6 + 1, gpf + 1)[(s % 2 == 1) & (s % 3 != 0)]
-        expected = np.cumsum(np.bincount(thresholds[thresholds <= q_max], minlength=q_max + 1))
-        assert np.array_equal(smooth_counts_up_to(q_max), expected)
+        assert np.array_equal(smooth_counts_up_to(3000), per_prime_smooth_counts(3000))
+
+    def test_counts_match_a_per_prime_sieve_at_every_small_bound(self):
+        # each q_max moves the top 6*q_max - 1 and the sqrt cut of the unit-class sieve
+        for q_max in [*range(1, 401), 10**5]:
+            counts, expected = smooth_counts_up_to(q_max), per_prime_smooth_counts(q_max)
+            assert counts.dtype == expected.dtype and np.array_equal(counts, expected), q_max
 
     def test_counts_batch_matches_single(self):
         counts = smooth_counts_up_to(60)
@@ -357,6 +393,11 @@ class TestMajorityRoute:
         assert summary.failures == ()
         assert summary.checked == 114  # pi(1000) - pi(256), no prime here is 3
 
+    def test_range_to_a_million(self):
+        summary = smooth_majority_range(257, 10**6)
+        assert summary.failures == ()
+        assert summary.checked == 78444  # pi(10^6) - pi(256)
+
     def test_range_below_cutoff_reports_failures(self):
         summary = smooth_majority_range(5, 50)
         assert not summary.passed
@@ -380,6 +421,11 @@ class TestPiRoute:
     def test_range(self):
         summary = pi_inequality_range(257, 2000)
         assert summary.passed and summary.failures == ()
+
+    def test_range_to_a_million(self):
+        summary = pi_inequality_range(257, 10**6)
+        assert summary.failures == ()
+        assert summary.checked == 999744  # every integer in [257, 10^6]
 
     def test_range_guards_its_hypothesis(self):
         with pytest.raises(ValueError):
@@ -789,6 +835,39 @@ class TestReachOne:
         monkeypatch.setattr(wildsemi.wildprove, "REACH_INT64_LIMIT", 10)
         with pytest.raises(BudgetExhaustedError):
             reach_one_range(27)
+
+    def test_step_counts_fill_uint16(self, monkeypatch):
+        monkeypatch.setattr(wildsemi.wildprove, "_descend", flat_descent(REACH_STEPS_MAX))
+        assert reach_one_range(100).max_steps == REACH_STEPS_MAX
+
+    def test_step_counts_past_uint16_raise(self, monkeypatch):
+        monkeypatch.setattr(wildsemi.wildprove, "_descend", flat_descent(REACH_STEPS_MAX + 1))
+        with pytest.raises(BudgetExhaustedError, match="from 2 to 3 exceeds 65535"):
+            reach_one_range(100)
+
+    def test_guards_survive_optimize(self):
+        out = run_optimized(
+            """
+            import sys
+            import numpy as np
+            from wildsemi import wildprove
+            def flat(start, stop, floor):
+                return np.ones(stop - start, dtype=np.int64), np.full(stop - start, 70000)
+            wildprove._descend = flat
+            try:
+                wildprove.reach_one_range(100)
+            except wildprove.BudgetExhaustedError as exc:
+                print(f"{sys.flags.optimize} {exc}")
+            try:
+                wildprove.PrimeSieve.build(2**31)
+            except ValueError as exc:
+                print(f"{sys.flags.optimize} {exc}")
+            """
+        )
+        assert out.splitlines() == [
+            "1 a step count from 2 to 3 exceeds 65535",
+            "1 sieve limit must be in 2..2147483647, got 2147483648",
+        ]
 
 
 class TestInduction:
