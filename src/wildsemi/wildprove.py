@@ -1094,8 +1094,9 @@ def induction_driver(
         for the strata -1 mod 2^t (t = k-1) above it;
     (2) every 1 <= n <= 2^k - 2 reaches 1 (capped by the trajectory
         bound), with spot-built certificates;
-    (3) a verified wild certificate for every m <= (2^k - 1)/189 with
-        3 not dividing m.
+    (3) every m <= (2^k - 1)/189 with 3 not dividing m is wild: a
+        verified certificate for every prime, and closure for
+        composites (each prime factor already has one).
     Any failure aborts with the offending k, hypothesis and witness.
     """
     if k_max < 12:
@@ -1196,15 +1197,23 @@ def induction_driver(
         )
         # hypothesis 3
         m_bound = ((1 << k) - 1) // 189
-        built = 0
+        covered = 0
         for m in range(m_done + 1, m_bound + 1):
             if m % 3 == 0:
                 continue
-            try:
-                w_certificate_for_integer(m, context)
-            except (SmoothPairExhaustionError, BudgetExhaustedError, VerificationError) as exc:
-                raise InductionError(k, 3, m, str(exc)) from exc
-            built += 1
+            factors = factorize(m)
+            if factors == {m: 1}:
+                try:
+                    w_certificate_for_prime(m, context)
+                except (SmoothPairExhaustionError, BudgetExhaustedError, VerificationError) as exc:
+                    raise InductionError(k, 3, m, str(exc)) from exc
+            else:
+                # W is closed under multiplication: a composite is covered
+                # once each of its prime factors has a verified certificate
+                for p in factors:
+                    if context.recall(p) is None:
+                        raise InductionError(k, 3, m, f"prime factor {p} of {m} has no verified certificate")
+            covered += 1
         m_done = max(m_done, m_bound)
         lines.append(
             InductionLine(
@@ -1214,7 +1223,7 @@ def induction_driver(
                 status="pass",
                 details=(
                     ("m_bound", str(m_bound)),
-                    ("new_certificates", str(built)),
+                    ("new_certificates", str(covered)),
                 ),
             )
         )

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end, in process."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -338,6 +339,15 @@ class TestInductCommand:
         assert "kind=sweep_capped" in out  # bound 100 < 2^12 - 2
         assert kv(out)["status"] == "pass"
         assert "trajectory bound 100" in err
+
+    def test_stdout_matches_the_readme_transcript(self, capsys):
+        code, out, _ = run(capsys, "induct", "13")
+        assert code == EXIT_OK
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        transcript = readme.split("$ wildsemi induct 13\n", 1)[1].split("```", 1)[0]
+        assert out == transcript
+        digest = "dc415c9bfbaa8af41c2fe0eaef38674c58ae5b45c540ad22353a11697c4b04e9"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_validation(self, capsys):
         assert run(capsys, "induct", "11")[0] == EXIT_USAGE

@@ -903,9 +903,19 @@ class TestInduction:
         ctx = WildContext()
         induction_driver(14, context=ctx)
         m_bound = (2**14 - 1) // 189
-        for m in range(2, m_bound + 1):
-            if m % 3 != 0:
-                assert ctx.recall(m) is not None
+        admissible = [m for m in range(2, m_bound + 1) if m % 3 != 0]
+        primes = [m for m in admissible if is_prime_int(m)]
+        for p in primes:
+            cert = ctx.recall(p)
+            assert cert is not None and cert.target == p
+            assert verify_certificate(cert).ok
+        # each composite is a product of certified primes: building its
+        # certificate needs no new smooth witness
+        witnesses = dict(ctx.witnesses)
+        for m in sorted(set(admissible) - set(primes)):
+            cert = w_certificate_for_integer(m, ctx)
+            assert cert.target == m and verify_certificate(cert).ok
+        assert ctx.witnesses == witnesses
 
     def test_each_s_certificate_is_built_once(self, monkeypatch):
         build = wildsemi.wildprove.s_certificate_for_integer
@@ -942,7 +952,7 @@ class TestInduction:
                     return real(n, *args)
                 return constructor
 
-            for name, bad in (("s_certificate_for_integer", 2048), ("w_certificate_for_integer", 20)):
+            for name, bad in (("s_certificate_for_integer", 2048), ("w_certificate_for_prime", 19)):
                 real = getattr(wildprove, name)
                 setattr(wildprove, name, failing_at(real, bad))
                 try:
@@ -954,7 +964,34 @@ class TestInduction:
         )
         spot, sweep = out.splitlines()
         assert spot == "1 12 2 2048 k=12 hypothesis=2 witness=2048: certificate for 2048 failed: planted"
-        assert sweep == "1 12 3 20 k=12 hypothesis=3 witness=20: certificate for 20 failed: planted"
+        assert sweep == "1 12 3 19 k=12 hypothesis=3 witness=19: certificate for 19 failed: planted"
+
+    def test_closure_gap_names_the_missing_prime_under_optimize(self):
+        # 17 is certified but never kept, and no other certificate built
+        # up to k = 13 depends on it, so 34 = 2 * 17 is the first
+        # composite whose closure check fails (13 would not do: the
+        # lift multiplier 43 = (2^7 + 1)/3 of hypothesis 1 needs it)
+        out = run_optimized(
+            """
+            import sys
+            from wildsemi import wildprove
+            from wildsemi.wildprove import InductionError, WildContext, induction_driver
+
+            real = wildprove.w_certificate_for_prime
+
+            def forgetful(q, context=None):
+                return real(q, WildContext() if q == 17 else context)
+
+            wildprove.w_certificate_for_prime = forgetful
+            try:
+                induction_driver(13)
+            except InductionError as exc:
+                print(sys.flags.optimize, exc.k, exc.hypothesis, exc.witness, exc)
+            """
+        )
+        assert out.splitlines() == [
+            "1 13 3 34 k=13 hypothesis=3 witness=34: prime factor 17 of 34 has no verified certificate"
+        ]
 
     def test_broken_cover_aborts_hypothesis_one(self):
         from wildsemi.residue import CoverageTable, load_builtin_coverage
