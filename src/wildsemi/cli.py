@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
 from .certify import (
-    Certificate,
     CertificateParseError,
     Side,
     VerifyStatus,
@@ -34,9 +33,9 @@ from .residue import (
     ResidueClass,
     SearchLimits,
     build_coverage,
+    builtin_coverage_text,
     class_bits,
     dump_coverage,
-    load_builtin_coverage,
     load_coverage,
     search_decreasing_path,
     verify_coverage_table,
@@ -52,6 +51,7 @@ from .wildprove import (
     VerificationError,
     WildContext,
     _verified,
+    cert_filename,
     find_smooth_pair,
     induction_driver,
     pi_inequality_range,
@@ -104,12 +104,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if result.ok else EXIT_MATH
 
 
-def _default_cert_path(cert: Certificate) -> Path:
-    t = cert.target
-    stem = str(t.numerator) if t.denominator == 1 else f"{t.numerator}_{t.denominator}"
-    return Path(f"{str(cert.side).lower()}-{stem}.cert")
-
-
 def cmd_prove(args: argparse.Namespace) -> int:
     """Construct a membership certificate and write it to a file."""
     value = args.value
@@ -137,7 +131,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
     except OSError as exc:
         # the store is the only file the construction touches
         raise UsageError(f"cannot use store {args.store}: {exc}") from exc
-    destination = args.out if args.out is not None else _default_cert_path(cert)
+    destination = args.out if args.out is not None else Path(cert_filename(cert))
     try:
         destination.write_text(serialize_certificate(cert))
     except OSError as exc:
@@ -165,11 +159,9 @@ def cmd_coverage(args: argparse.Namespace) -> int:
                 _emit("uncovered", gap)
             _emit("status", "gap")
             return EXIT_MATH
-    elif args.fixture == "builtin":
-        table = load_builtin_coverage()
     else:
         try:
-            text = Path(args.fixture).read_text()
+            text = builtin_coverage_text() if args.fixture == "builtin" else Path(args.fixture).read_text()
         except OSError as exc:
             raise UsageError(f"cannot read {args.fixture}: {exc}") from exc
         table = load_coverage(text, modulus_exponent=bits)

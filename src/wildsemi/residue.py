@@ -381,7 +381,6 @@ def find_decreasing_steps(
 
 @dataclass(frozen=True)
 class SearchResult:
-    prefix: str
     records: tuple[PathRecord, ...]
     uncovered: tuple[str, ...]
 
@@ -434,7 +433,7 @@ def search_decreasing_path(
         visit(node_bits + "1")
 
     visit(bits)
-    return SearchResult(prefix=bits, records=tuple(records), uncovered=tuple(uncovered))
+    return SearchResult(records=tuple(records), uncovered=tuple(uncovered))
 
 
 # --------------------------------------------------------------------------
@@ -682,9 +681,13 @@ def load_coverage(text: str, modulus_exponent: int = 12) -> CoverageTable:
     return CoverageTable(records=tuple(records), modulus_exponent=modulus_exponent)
 
 
-def load_builtin_coverage() -> CoverageTable:
-    """The hand-made decreasing cover mod 4096 that ships with the package."""
+def builtin_coverage_text() -> str:
+    """The text of the hand-made decreasing cover mod 4096 that ships with the package."""
     from importlib import resources
 
-    text = resources.files("wildsemi").joinpath("data/cover_mod4096.cover").read_text()
-    return load_coverage(text, modulus_exponent=12)
+    return resources.files("wildsemi").joinpath("data/cover_mod4096.cover").read_text()
+
+
+def load_builtin_coverage() -> CoverageTable:
+    """The shipped cover mod 4096, loaded."""
+    return load_coverage(builtin_coverage_text(), modulus_exponent=12)

@@ -48,10 +48,6 @@ ONESTEP_BOUND = Fraction(1235, 1264)
 # (130/128) * (76/79): lift stretch at j >= 7 times the cover's worst ratio
 
 
-class SieveTooSmallError(ValueError):
-    pass
-
-
 class NotInSemigroupError(ValueError):
     """The requested target provably lies outside the semigroup."""
 
@@ -96,54 +92,22 @@ def _verified(cert: Certificate, what: str) -> Certificate:
 SIEVE_LIMIT_MAX = 2**31 - 1  # largest sieve limit; pi(x) <= x then fits int32
 
 
-@dataclass(frozen=True)
-class PrimeSieve:
-    """Eratosthenes table with prefix prime counts for exact pi queries.
+def prime_flags(limit: int) -> np.ndarray:
+    """flags[n] is True exactly for the primes n <= limit, by Eratosthenes.
 
-    counts[x] = pi(x) in int32: a limit above SIEVE_LIMIT_MAX is refused
-    before anything is allocated, so every count fits.
+    A limit above SIEVE_LIMIT_MAX is refused before anything is
+    allocated, so every index and prime count of the table fits int32.
     """
+    import numpy as np
 
-    limit: int
-    flags: np.ndarray
-    counts: np.ndarray
-
-    @classmethod
-    def build(cls, limit: int) -> "PrimeSieve":
-        import numpy as np
-
-        if not 2 <= limit <= SIEVE_LIMIT_MAX:
-            raise ValueError(f"sieve limit must be in 2..{SIEVE_LIMIT_MAX}, got {limit}")
-        flags = np.ones(limit + 1, dtype=bool)
-        flags[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
-        # summed in place: cumsum(flags, dtype=np.int32) would first copy
-        # the flags as int32, a second array of the counts' size
-        counts = flags.astype(np.int32)
-        np.cumsum(counts, out=counts)
-        return cls(limit=limit, flags=flags, counts=counts)
-
-    def is_prime(self, n: int) -> bool:
-        if n > self.limit:
-            raise SieveTooSmallError(f"sieve limit {self.limit} < {n}")
-        return bool(self.flags[n]) if n >= 0 else False
-
-    def pi(self, x: int) -> int:
-        """Number of primes <= x."""
-        if x > self.limit:
-            raise SieveTooSmallError(f"sieve limit {self.limit} < {x}")
-        return int(self.counts[x]) if x >= 2 else 0
-
-    def primes(self, lo: int = 2, hi: Optional[int] = None) -> np.ndarray:
-        import numpy as np
-
-        hi = self.limit if hi is None else hi
-        if hi > self.limit:
-            raise SieveTooSmallError(f"sieve limit {self.limit} < {hi}")
-        idx = np.nonzero(self.flags[: hi + 1])[0]
-        return idx[idx >= lo]
+    if not 2 <= limit <= SIEVE_LIMIT_MAX:
+        raise ValueError(f"sieve limit must be in 2..{SIEVE_LIMIT_MAX}, got {limit}")
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
 
 
 TRIAL_BOUND = 1000  # factorize and is_prime_int trial-divide by the primes below it
@@ -286,15 +250,10 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def largest_prime_factor(n: int) -> int:
-    if n == 1:
-        return 1
-    return max(factorize(n))
-
-
-def is_q_smooth(n: int, q: int) -> bool:
-    """All prime factors strictly below q (1 is smooth for every q)."""
-    return largest_prime_factor(n) < q
+def smooth_factorization(n: int, q: int) -> Optional[dict[int, int]]:
+    """factorize(n) when every prime factor is below q, else None (1 is smooth for every q)."""
+    factors = factorize(n)
+    return factors if all(p < q for p in factors) else None
 
 
 # --------------------------------------------------------------------------
@@ -319,7 +278,7 @@ def compute_a_r(q: int) -> tuple[int, int]:
     return a, r
 
 
-def _unit_gpf(n: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray]:
+def _unit_gpf(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Greatest prime factor of 6i + 1 and of 6i + 5 for 0 <= i < n, as int32 (0 at 1).
 
     Only the units mod 6 are sieved.  A prime p <= sqrt(6n) steps
@@ -328,14 +287,15 @@ def _unit_gpf(n: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray]:
     factor is written last.  An s < 6n has at most one prime factor
     above sqrt(6n), and it is gpf(s): those primes are scattered once
     per cofactor c prime to 6, split by p mod 6 so the class of p*c is
-    known.  The sieve must reach 6n - 1; its cap SIEVE_LIMIT_MAX keeps
-    every p*c in int32.
+    known.  The primes come from prime_flags(6n - 1), whose cap
+    SIEVE_LIMIT_MAX keeps every p*c in int32; the flags are dropped
+    before the gpf arrays exist.
     """
     import numpy as np
 
     limit = 6 * n - 1
     root = math.isqrt(limit)
-    primes = sieve.primes(5, limit).astype(np.int32)
+    primes = np.flatnonzero(prime_flags(limit))[2:].astype(np.int32)  # from 5 on
     small = int(np.searchsorted(primes, root, side="right"))
     gpf = {r: np.zeros(n, dtype=np.int32) for r in (1, 5)}
     for p in primes[:small].tolist():
@@ -351,52 +311,18 @@ def _unit_gpf(n: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray]:
     return gpf[1], gpf[5]
 
 
-def smooth_residues(q: int, sieve: Optional[PrimeSieve] = None) -> tuple[int, ...]:
+def smooth_residues(q: int) -> tuple[int, ...]:
     """All q-smooth s in (0, 6q) coprime to 6q, 1 included, ascending."""
     import numpy as np
 
     if q < 5 or not is_prime_int(q):
         raise ValueError(f"smooth_residues wants a prime >= 5, got {q}")
-    limit = 6 * q - 1
-    if sieve is None or sieve.limit < limit:
-        sieve = PrimeSieve.build(limit)
-    gpf1, gpf5 = _unit_gpf(q, sieve)
+    gpf1, gpf5 = _unit_gpf(q)
     i = np.arange(q, dtype=np.int64)
     # gpf < q already rules out the multiples q and 5q, so coprimality
     # to 6q needs no extra test
     s = np.concatenate((6 * i[gpf1 < q] + 1, 6 * i[gpf5 < q] + 5))
     return tuple(np.sort(s).tolist())
-
-
-@dataclass(frozen=True)
-class SmoothMajorityVerdict:
-    q: int
-    size: int
-    threshold: int  # q - 1
-    invertible_classes: int  # phi(6q) = 2(q-1)
-    passed: bool
-
-    @property
-    def majority(self) -> bool:
-        # size > q - 1 is exactly "more than half of the invertible classes"
-        return 2 * self.size > self.invertible_classes
-
-
-def smooth_majority_check(q: int, sieve: Optional[PrimeSieve] = None) -> SmoothMajorityVerdict:
-    """Does the smooth set fill more than half the invertible classes mod 6q?
-
-    Guaranteed for q >= 257; smaller primes are allowed here so the
-    failure (e.g. q = 13 has 9 smooth residues against threshold 12)
-    stays demonstrable.
-    """
-    size = len(smooth_residues(q, sieve))
-    return SmoothMajorityVerdict(
-        q=q,
-        size=size,
-        threshold=q - 1,
-        invertible_classes=2 * (q - 1),
-        passed=size > q - 1,
-    )
 
 
 def smooth_counts_up_to(q_max: int) -> np.ndarray:
@@ -412,9 +338,8 @@ def smooth_counts_up_to(q_max: int) -> np.ndarray:
     """
     import numpy as np
 
-    # the sieve is built first, so a q_max it refuses allocates nothing,
-    # and is dropped before the counting temporaries exist
-    unit_gpf = _unit_gpf(q_max, PrimeSieve.build(6 * q_max - 1))
+    # the sieve runs first, so a q_max it refuses allocates nothing
+    unit_gpf = _unit_gpf(q_max)
     after = np.arange(1, q_max + 1, dtype=np.int32)  # i + 1
     counts = np.zeros(q_max + 1, dtype=np.int64)
     for gpf in unit_gpf:
@@ -436,40 +361,19 @@ class RangeCheckSummary:
 
 
 def smooth_majority_range(q_min: int, q_max: int) -> RangeCheckSummary:
-    """The majority bound for every prime q in [q_min, q_max], batched."""
+    """The majority bound for every prime q in [q_min, q_max], batched.
+
+    counts[q] > q - 1 is exactly "the q-smooth units fill more than half
+    of the phi(6q) = 2(q - 1) invertible classes mod 6q".  Guaranteed for
+    q >= 257; smaller primes are allowed so the failure (q = 13 has 9
+    smooth residues against threshold 12) stays demonstrable.
+    """
+    import numpy as np
+
     counts = smooth_counts_up_to(q_max)
-    sieve = PrimeSieve.build(q_max)
-    qs = [int(q) for q in sieve.primes(max(q_min, 5), q_max)]
+    qs = [q for q in np.flatnonzero(prime_flags(q_max)).tolist() if q >= max(q_min, 5)]
     failures = tuple(q for q in qs if counts[q] <= q - 1)
     return RangeCheckSummary(q_min=q_min, q_max=q_max, checked=len(qs), failures=failures)
-
-
-@dataclass(frozen=True)
-class PiInequalityVerdict:
-    q: int
-    above_q: int  # pi(6q) - pi(q)
-    above_q_fifth: int  # pi(floor(6q/5)) - pi(q)
-    bound: int  # q - 2
-    passed: bool
-
-
-def pi_inequality_check(q: int, sieve: Optional[PrimeSieve] = None) -> PiInequalityVerdict:
-    """(pi(6q) - pi(q)) + (pi(floor(6q/5)) - pi(q)) <= q - 2, exactly."""
-    if q <= 256:
-        raise ValueError(f"the inequality is asserted for q > 256 only, got {q}")
-    if sieve is None:
-        sieve = PrimeSieve.build(6 * q)
-    if sieve.limit < 6 * q:
-        raise SieveTooSmallError(f"sieve limit {sieve.limit} < 6q = {6 * q}")
-    above_q = sieve.pi(6 * q) - sieve.pi(q)
-    above_fifth = sieve.pi(6 * q // 5) - sieve.pi(q)
-    return PiInequalityVerdict(
-        q=q,
-        above_q=above_q,
-        above_q_fifth=above_fifth,
-        bound=q - 2,
-        passed=above_q + above_fifth <= q - 2,
-    )
 
 
 def pi_inequality_range(q_min: int, q_max: int) -> RangeCheckSummary:
@@ -480,8 +384,10 @@ def pi_inequality_range(q_min: int, q_max: int) -> RangeCheckSummary:
         raise ValueError(f"range must start above 256, got {q_min}")
     if q_min > q_max:
         raise ValueError(f"empty range {q_min}..{q_max}")
-    sieve = PrimeSieve.build(6 * q_max)
-    counts = sieve.counts
+    # counts[x] = pi(x), summed in place: cumsum(flags, dtype=np.int32)
+    # would first copy the flags as int32, a second array of this size
+    counts = prime_flags(6 * q_max).astype(np.int32)
+    np.cumsum(counts, out=counts)
     qs = np.arange(q_min, q_max + 1, dtype=np.int64)
     lhs = (counts[6 * qs] - counts[qs]) + (counts[6 * qs // 5] - counts[qs])
     bad = qs[lhs > qs - 2]
@@ -517,7 +423,7 @@ class SmoothWitness:
         if 3 * r != 2 * a * q - 1 or r % 6 != 5:
             raise ValueError(f"r = {r} is not (2aq-1)/3 or not -1 mod 6")
         for s in (s1, s2):
-            if not (0 < s < 6 * q) or math.gcd(s, 6 * q) != 1 or not is_q_smooth(s, q):
+            if not (0 < s < 6 * q) or math.gcd(s, 6 * q) != 1 or smooth_factorization(s, q) is None:
                 raise ValueError(f"{s} is not a q-smooth unit below 6q for q = {q}")
         if s1 * s2 != 6 * q * k + r or not (0 <= k < 6 * q):
             raise ValueError(f"s1*s2 = {s1 * s2} is not 6qk + r with 0 <= k < 6q")
@@ -542,17 +448,6 @@ class SmoothWitness:
         return factors
 
 
-def _smooth_candidates(q: int):
-    """Ascending q-smooth integers in (0, 6q) coprime to 6q, lazily."""
-    s = 1
-    step = 4  # walk 1, 5, 7, 11, ... (units mod 6)
-    while s < 6 * q:
-        if s % q != 0 and is_q_smooth(s, q):
-            yield s
-        s += step
-        step = 6 - step
-
-
 def find_smooth_pair(q: int) -> SmoothWitness:
     """Deterministic witness: smallest s1 whose forced partner is smooth.
 
@@ -565,11 +460,16 @@ def find_smooth_pair(q: int) -> SmoothWitness:
         raise ValueError(f"find_smooth_pair wants a prime >= 5, got {q}")
     a, r = compute_a_r(q)
     mod = 6 * q
-    for s1 in _smooth_candidates(q):
-        s2 = (r * pow(s1, -1, mod)) % mod
-        if is_q_smooth(s2, q):
-            k = (s1 * s2 - r) // mod
-            return SmoothWitness(q=q, a=a, r=r, s1=s1, s2=s2, k=k, n=9 * k + a)
+    s1, step = 1, 4  # walk the units mod 6: 1, 5, 7, 11, ...
+    while s1 < mod:
+        # a smooth s1 is prime to q, so it is a unit mod 6q
+        if smooth_factorization(s1, q) is not None:
+            s2 = (r * pow(s1, -1, mod)) % mod
+            if smooth_factorization(s2, q) is not None:
+                k = (s1 * s2 - r) // mod
+                return SmoothWitness(q=q, a=a, r=r, s1=s1, s2=s2, k=k, n=9 * k + a)
+        s1 += step
+        step = 6 - step
     raise SmoothPairExhaustionError(
         f"no q-smooth pair below {mod} lands in the progression {mod}k + {r} for q = {q}"
     )
@@ -578,6 +478,13 @@ def find_smooth_pair(q: int) -> SmoothWitness:
 # --------------------------------------------------------------------------
 # Certificate stores and the shared construction context.
 # --------------------------------------------------------------------------
+
+
+def cert_filename(cert: Certificate) -> str:
+    """<side>-<num>.cert, or <side>-<num>_<den>.cert for a non-integer target."""
+    t = cert.target
+    stem = str(t.numerator) if t.denominator == 1 else f"{t.numerator}_{t.denominator}"
+    return f"{str(cert.side).lower()}-{stem}.cert"
 
 
 class CertStore:
@@ -602,12 +509,9 @@ class CertStore:
         self._lines: dict[str, str] = {}  # file name -> its index line
 
     def _filename(self, cert: Certificate) -> Optional[str]:
-        t = cert.target
-        if cert.side is Side.W:
-            return f"w-{t.numerator}.cert" if t.denominator == 1 else None
-        if t.denominator == 1:
-            return f"s-{t.numerator}.cert"
-        return f"s-{t.numerator}_{t.denominator}.cert"
+        if cert.side is Side.W and cert.target.denominator != 1:
+            return None
+        return cert_filename(cert)
 
     def _write(self, path: Path, text: str) -> None:
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -666,8 +570,8 @@ class WildContext:
     Holds verified W-certificates keyed by integer target (seeded with
     2, 5, 7, 11 only, verified here; the other built-ins are
     reconstructed, not assumed), verified trajectory S-certificates
-    keyed by integer, smooth witnesses, the coverage table, the
-    trajectory budget, and an optional persistent store.
+    keyed by integer, the coverage table, the trajectory budget, and an
+    optional persistent store.
     """
 
     def __init__(
@@ -684,7 +588,6 @@ class WildContext:
         }
         for seed in (5, 7, 11):
             self.certificates[seed] = _verified(base_certificate(seed), f"seed certificate for {seed}")
-        self.witnesses: dict[int, SmoothWitness] = {}
         self.s_certificates: dict[int, Certificate] = {}
 
     @property
@@ -692,13 +595,6 @@ class WildContext:
         if self._coverage is None:
             self._coverage = load_builtin_coverage()
         return self._coverage
-
-    def witness_for(self, q: int) -> SmoothWitness:
-        w = self.witnesses.get(q)
-        if w is None:
-            w = find_smooth_pair(q)
-            self.witnesses[q] = w
-        return w
 
     def s_certificate(self, n: int) -> Certificate:
         """The trajectory S-certificate of n, built and verified once per context."""
@@ -746,15 +642,20 @@ def s_certificate_for_integer(
     return _verified(Certificate(Side.S, Fraction(n), tuple(factors)), f"trajectory certificate for {n}")
 
 
-def _witness_certificate(witness: SmoothWitness, context: WildContext) -> Certificate:
-    """q = (1/n) * g(l) * s1 * s2 from verified parts, the S-certificate for n as 1/n."""
+def _witness_certificate(
+    witness: SmoothWitness, factors: dict[int, int], context: WildContext
+) -> Certificate:
+    """q = (1/n) * g(l) * s1 * s2 from verified parts, the S-certificate for n as 1/n.
+
+    factors is witness.factorization(), computed once by the caller.
+    """
     middle = Certificate(
         Side.W,
         Fraction(3 * witness.l + 2, 2 * witness.l + 1),
         ((witness.l, 1),),
     )
     parts = [(context.s_certificate(witness.n), 1), (middle, 1)]
-    for p, e in sorted(witness.factorization().items()):
+    for p, e in sorted(factors.items()):
         dep = context.recall(p)
         if dep is None:
             raise VerificationError(f"dependency {p} missing while assembling {witness.q}")
@@ -782,19 +683,19 @@ def w_certificate_for_prime(q: int, context: Optional[WildContext] = None) -> Ce
     if cached is not None:
         return cached
     pending = [q]
-    needed: set[int] = set()
+    needed: dict[int, tuple[SmoothWitness, dict[int, int]]] = {}
     while pending:
         p = pending.pop()
         if p in needed or context.recall(p) is not None:
             continue
-        needed.add(p)
-        witness = context.witness_for(p)
-        for dep in witness.factorization():
+        witness = find_smooth_pair(p)
+        factors = witness.factorization()
+        needed[p] = witness, factors
+        for dep in factors:
             if context.recall(dep) is None:
                 pending.append(dep)  # dep < p, so this terminates
     for p in sorted(needed):
-        cert = _witness_certificate(context.witnesses[p], context)
-        context.remember(p, cert)
+        context.remember(p, _witness_certificate(*needed[p], context))
     return context.certificates[q]
 
 

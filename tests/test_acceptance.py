@@ -12,6 +12,9 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
+
+from wildsemi import wildprove
 from wildsemi.certify import (
     BASE_TARGETS,
     base_table,
@@ -29,13 +32,13 @@ from wildsemi.residue import (
 from wildsemi.wildprove import (
     ONESTEP_BOUND,
     NotInSemigroupError,
-    PrimeSieve,
     WildContext,
     induction_driver,
     lift_minus_one,
     onestep_reduce,
     pi_inequality_range,
     reach_one_range,
+    prime_flags,
     s_certificate_for_rational,
     smooth_majority_range,
     w_certificate_for_prime,
@@ -149,19 +152,22 @@ def test_acceptance_06_onestep_reduction():
             assert trace.wild_certificate.target == Fraction(trace.result, x)
 
 
-def test_acceptance_07_wild_primes_to_400():
+def test_acceptance_07_wild_primes_to_400(monkeypatch):
     with criterion(7, 60.0, "every prime below 400 except 3 certifies from the 2,5,7,11 seeds"):
+        find = wildprove.find_smooth_pair
+        witnesses = {}
+        monkeypatch.setattr(wildprove, "find_smooth_pair", lambda q: witnesses.setdefault(q, find(q)))
         context = WildContext()
         assert set(context.certificates) == {2, 5, 7, 11}
-        for q in (int(p) for p in PrimeSieve.build(399).primes()):
+        for q in np.flatnonzero(prime_flags(399)).tolist():
             if q == 3:
                 continue
             cert = w_certificate_for_prime(q, context)
             assert cert.target == q
             assert verify_certificate(cert).ok
         # the seeds were consumed as given, never re-derived
-        assert not set(context.witnesses) & {2, 5, 7, 11}
-        w13 = context.witnesses[13]
+        assert not set(witnesses) & {2, 5, 7, 11}
+        w13 = witnesses[13]
         assert (w13.a, w13.r) == (2, 17)
         assert w13.s1 * w13.s2 == 875
         assert 875 == 78 * w13.k + 17

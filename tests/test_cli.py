@@ -200,6 +200,19 @@ class TestCoverageCommand:
         assert pairs["worst"] == "76/79"
         assert pairs["status"] == "pass"
 
+    def test_builtin_fixture_is_read_at_the_given_bits(self, capsys):
+        # the shipped table is a cover mod 2^12; at any other modulus it
+        # fails exactly as the same text passed as a file does
+        shipped = Path(wildsemi.__file__).parent / "data" / "cover_mod4096.cover"
+        for bits in ("11", "44"):
+            builtin = run(capsys, "coverage", "--fixture", "--bits", bits)
+            from_file = run(capsys, "coverage", "--fixture", str(shipped), "--bits", bits)
+            assert builtin == from_file
+            code, out, _ = builtin
+            assert code == EXIT_MATH
+            pairs = kv(out)
+            assert pairs["modulus_exponent"] == bits and pairs["status"] == "fail"
+
     def test_file_fixture_and_tampering(self, capsys, tmp_path):
         good = tmp_path / "table.cover"
         good.write_text(dump_coverage(load_builtin_coverage()))

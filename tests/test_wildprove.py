@@ -33,8 +33,6 @@ from wildsemi.wildprove import (
     CertStore,
     InductionError,
     NotInSemigroupError,
-    PrimeSieve,
-    SieveTooSmallError,
     SmoothPairExhaustionError,
     SmoothWitness,
     VerificationError,
@@ -44,18 +42,16 @@ from wildsemi.wildprove import (
     find_smooth_pair,
     induction_driver,
     is_prime_int,
-    is_q_smooth,
-    largest_prime_factor,
     lift_minus_one,
     onestep_reduce,
-    pi_inequality_check,
     pi_inequality_range,
+    prime_flags,
     reach_one_range,
     reduction_exponent,
     s_certificate_for_integer,
     s_certificate_for_rational,
     smooth_counts_up_to,
-    smooth_majority_check,
+    smooth_factorization,
     smooth_majority_range,
     smooth_residues,
     w_certificate_for_integer,
@@ -124,7 +120,7 @@ def chain_integer_certificate(m, context):
 
 def chain_witness_certificate(q, context):
     """Reference: (1/n) * g(l) * s1 * s2 for q, one multiply at a time."""
-    w = context.witnesses[q]
+    w = find_smooth_pair(q)  # deterministic: the witness the context used
     inv_n = invert_certificate(s_certificate_for_integer(w.n, context.trajectory_budget))
     middle = Certificate(Side.W, Fraction(3 * w.l + 2, 2 * w.l + 1), ((w.l, 1),))
     cert = multiply_certificates(inv_n, middle)
@@ -137,11 +133,19 @@ def per_prime_smooth_counts(q_max):
     """Reference: the greatest prime factor of every s <= 6*q_max by one slice per prime."""
     limit = 6 * q_max
     gpf = np.zeros(limit + 1, dtype=np.int64)
-    for p in PrimeSieve.build(limit).primes():
+    for p in np.flatnonzero(prime_flags(limit)):
         gpf[p::p] = p
     s = np.arange(limit + 1)
     thresholds = np.maximum(s // 6 + 1, gpf + 1)[(s % 2 == 1) & (s % 3 != 0)]
     return np.cumsum(np.bincount(thresholds[thresholds <= q_max], minlength=q_max + 1))
+
+
+def record_witnesses(monkeypatch):
+    """The smooth witnesses built from here on, in order, via a wrapper on find_smooth_pair."""
+    built = []
+    find = wildsemi.wildprove.find_smooth_pair
+    monkeypatch.setattr(wildsemi.wildprove, "find_smooth_pair", lambda q: built.append(find(q)) or built[-1])
+    return built
 
 
 def loop_reach_one(bound):
@@ -170,35 +174,33 @@ def flat_descent(steps):
 
 class TestPrimeSieve:
     def test_matches_trial_division(self):
-        sieve = PrimeSieve.build(500)
-        expected = brute_primes(500)
-        assert list(sieve.primes()) == expected
-        for n in range(501):
-            assert sieve.is_prime(n) == (n in set(expected))
+        flags = prime_flags(500)
+        assert np.flatnonzero(flags).tolist() == brute_primes(500)
+        assert flags.tolist() == [is_prime_int(n) for n in range(501)]
 
     def test_pi(self):
-        sieve = PrimeSieve.build(1000)
-        assert sieve.pi(100) == 25
-        assert sieve.pi(1000) == 168
-        assert sieve.pi(1) == 0
+        flags = prime_flags(1000)
+        assert flags[:101].sum() == 25
+        assert flags.sum() == 168
+        assert flags[:2].sum() == 0
 
     def test_window(self):
-        sieve = PrimeSieve.build(100)
-        assert list(sieve.primes(10, 30)) == [11, 13, 17, 19, 23, 29]
+        # the majority range reads the primes of [q_min, q_max] off the flags
+        window = (11, 13, 17, 19, 23, 29)
+        summary = smooth_majority_range(10, 30)
+        assert summary.checked == len(window)
+        assert summary.failures == tuple(q for q in window if len(smooth_residues(q)) <= q - 1)
 
     def test_too_small(self):
-        sieve = PrimeSieve.build(50)
-        with pytest.raises(SieveTooSmallError):
-            sieve.is_prime(51)
-        with pytest.raises(SieveTooSmallError):
-            sieve.pi(51)
-        with pytest.raises(SieveTooSmallError):
-            sieve.primes(2, 51)
+        # the table ends at its limit: a read past it raises, it does not answer
+        flags = prime_flags(50)
+        assert len(flags) == 51
+        with pytest.raises(IndexError):
+            flags[51]
 
     @pytest.mark.parametrize("limit", [2, 3, 100, 9973, 10**5])
     def test_counts_are_int32_prefix_counts(self, limit):
-        counts = PrimeSieve.build(limit).counts
-        assert counts.dtype == np.int32
+        counts = np.cumsum(prime_flags(limit), dtype=np.int32)
         plain = itertools.accumulate(int(is_prime_int(n)) for n in range(limit + 1))
         assert counts.tolist() == list(plain)
 
@@ -209,10 +211,10 @@ class TestPrimeSieve:
         monkeypatch.setattr(np, "ones", no_allocation)
         for limit in (SIEVE_LIMIT_MAX + 1, 6 * 400_000_000, 1):
             with pytest.raises(ValueError, match="sieve limit"):
-                PrimeSieve.build(limit)
+                prime_flags(limit)
 
     def test_trial_primes_match_the_sieve(self):
-        assert SMALL_PRIMES == tuple(int(p) for p in PrimeSieve.build(TRIAL_BOUND - 1).primes())
+        assert SMALL_PRIMES == tuple(np.flatnonzero(prime_flags(TRIAL_BOUND - 1)).tolist())
         assert len(SMALL_PRIMES) == 168
 
 
@@ -234,9 +236,9 @@ class TestIntegerHelpers:
         assert product == n
 
     def test_is_prime_int(self):
-        sieve = PrimeSieve.build(300)
+        flags = prime_flags(300)
         for n in range(301):
-            assert is_prime_int(n) == sieve.is_prime(n)
+            assert is_prime_int(n) == flags[n]
 
     def test_agrees_with_trial_division_below_2e5(self):
         for n in range(1, 200_000):
@@ -306,12 +308,12 @@ class TestIntegerHelpers:
         assert not is_prime_int(p * r)
 
     def test_smoothness(self):
-        assert largest_prime_factor(1) == 1
-        assert largest_prime_factor(875) == 7
-        assert is_q_smooth(1, 5)
-        assert is_q_smooth(875, 13)
-        assert not is_q_smooth(13, 13)
-        assert not is_q_smooth(26, 13)
+        assert smooth_factorization(1, 5) == {}  # 1 is smooth for every q
+        assert smooth_factorization(875, 13) == {5: 3, 7: 1}
+        assert smooth_factorization(875, 8) == {5: 3, 7: 1}
+        assert smooth_factorization(875, 7) is None
+        assert smooth_factorization(13, 13) is None
+        assert smooth_factorization(26, 13) is None
 
 
 class TestCanonicalResidues:
@@ -354,7 +356,7 @@ class TestSmoothResidues:
         expected = tuple(
             s
             for s in range(1, 6 * q)
-            if math.gcd(s, 6 * q) == 1 and is_q_smooth(s, q)
+            if math.gcd(s, 6 * q) == 1 and max(trial_factorize(s), default=1) < q
         )
         assert got == expected
 
@@ -375,17 +377,16 @@ class TestSmoothResidues:
 
 class TestMajorityRoute:
     def test_small_prime_fails(self):
-        verdict = smooth_majority_check(13)
-        assert verdict.size == 9
-        assert verdict.threshold == 12
-        assert verdict.invertible_classes == 24
-        assert not verdict.passed
-        assert not verdict.majority
+        # 9 smooth residues fill no more than half of the phi(78) = 24 classes
+        assert len(smooth_residues(13)) == 9
+        summary = smooth_majority_range(13, 13)
+        assert summary.checked == 1
+        assert summary.failures == (13,) and not summary.passed
 
     def test_large_prime_passes(self):
-        verdict = smooth_majority_check(257)
-        assert verdict.size == 317
-        assert verdict.passed and verdict.majority
+        assert len(smooth_residues(257)) == 317  # above q - 1 = 256
+        summary = smooth_majority_range(257, 257)
+        assert summary.checked == 1 and summary.passed
 
     def test_range_above_cutoff(self):
         summary = smooth_majority_range(257, 1000)
@@ -406,17 +407,23 @@ class TestMajorityRoute:
 
 class TestPiRoute:
     def test_spot_values(self):
-        verdict = pi_inequality_check(257)
-        assert (verdict.above_q, verdict.above_q_fifth) == (187, 8)
-        assert verdict.bound == 255
-        assert verdict.passed
+        flags = prime_flags(6 * 257)
+        above_q = int(flags[258 : 6 * 257 + 1].sum())  # pi(6q) - pi(q)
+        above_q_fifth = int(flags[258 : 6 * 257 // 5 + 1].sum())  # pi(floor(6q/5)) - pi(q)
+        assert (above_q, above_q_fifth) == (187, 8)
+        assert above_q + above_q_fifth <= 257 - 2
+        summary = pi_inequality_range(257, 257)
+        assert summary.checked == 1 and summary.passed
 
     def test_prime_count_definitions(self):
-        sieve = PrimeSieve.build(7 * 1009)
-        verdict = pi_inequality_check(1009, sieve)
-        assert verdict.above_q == sieve.pi(6 * 1009) - sieve.pi(1009)
-        assert verdict.above_q_fifth == sieve.pi(6 * 1009 // 5) - sieve.pi(1009)
-        assert verdict.passed
+        def pi(x):
+            return sum(map(is_prime_int, range(x + 1)))
+
+        for q in (1009, 1010, 4099):
+            lhs = (pi(6 * q) - pi(q)) + (pi(6 * q // 5) - pi(q))
+            summary = pi_inequality_range(q, q)
+            assert summary.checked == 1
+            assert summary.passed == (lhs <= q - 2)
 
     def test_range(self):
         summary = pi_inequality_range(257, 2000)
@@ -521,14 +528,27 @@ class TestWCertificates:
         assert cert.target == 875
         assert verify_certificate(cert).ok
 
-    def test_builtins_only_below_four_hundred(self):
+    def test_builtins_only_below_four_hundred(self, monkeypatch):
         # every prime < 400 except 3 assembles from the seeds 2, 5, 7, 11
+        built = record_witnesses(monkeypatch)
         ctx = WildContext()
-        for q in PrimeSieve.build(400).primes():
+        for q in np.flatnonzero(prime_flags(400)).tolist():
             if q == 3:
                 continue
-            assert verify_certificate(w_certificate_for_prime(int(q), ctx)).ok
-        assert all(q not in ctx.witnesses for q in (2, 5, 7, 11))
+            assert verify_certificate(w_certificate_for_prime(q, ctx)).ok
+        witnessed = [w.q for w in built]
+        assert len(witnessed) == len(set(witnessed)) > 70
+        assert not set(witnessed) & {2, 5, 7, 11}
+
+    def test_each_witness_is_factored_once(self, monkeypatch):
+        built = record_witnesses(monkeypatch)
+        factorization = SmoothWitness.factorization
+        factored = []
+        monkeypatch.setattr(SmoothWitness, "factorization", lambda w: factored.append(w) or factorization(w))
+        cert = w_certificate_for_prime(2**30 - 35, WildContext())
+        assert verify_certificate(cert).ok
+        assert len(built) > 1
+        assert factored == built
 
     def test_refusals(self):
         with pytest.raises(NotInSemigroupError):
@@ -554,14 +574,15 @@ class TestWCertificates:
 
 
 class TestAssembly:
-    def test_integers_match_the_multiply_chain(self):
+    def test_integers_match_the_multiply_chain(self, monkeypatch):
+        built = record_witnesses(monkeypatch)
         ctx = WildContext()
         for m in range(1, 3000):
             if m % 3:
                 assert w_certificate_for_integer(m, ctx) == chain_integer_certificate(m, ctx), m
-        assert len(ctx.witnesses) > 300
-        for q in ctx.witnesses:
-            assert ctx.certificates[q] == chain_witness_certificate(q, ctx), q
+        assert len(built) > 300
+        for w in built:
+            assert ctx.certificates[w.q] == chain_witness_certificate(w.q, ctx), w.q
 
     def test_large_primes_match_the_multiply_chain(self):
         ctx = WildContext()
@@ -586,6 +607,7 @@ class TestAssembly:
         assert (tmp_path / "w-1009.cert").exists()  # primes are among them
 
     def test_every_certificate_is_verified_once(self, monkeypatch):
+        built = record_witnesses(monkeypatch)
         verify = wildsemi.wildprove.verify_certificate
         checked = []
         monkeypatch.setattr(
@@ -598,8 +620,8 @@ class TestAssembly:
         # built: the 4 seeds, every prime and composite (all cached), the
         # empty product for m = 1, and one trajectory certificate per
         # distinct n among the witnesses, which share them
-        distinct_n = {w.n for w in ctx.witnesses.values()}
-        assert len(distinct_n) < len(ctx.witnesses)
+        distinct_n = {w.n for w in built}
+        assert len(distinct_n) < len(built)
         assert set(ctx.s_certificates) == distinct_n
         built = len(ctx.certificates) + 1 + len(distinct_n)
         assert len(checked) == built
@@ -613,14 +635,15 @@ class TestAssembly:
             import sys
             from fractions import Fraction
             from wildsemi.certify import Certificate
-            from wildsemi.wildprove import VerificationError, WildContext, _witness_certificate
+            from wildsemi.wildprove import VerificationError, WildContext, _witness_certificate, find_smooth_pair
             context = WildContext()
-            witness = context.witness_for(13)
-            p = min(witness.factorization())
+            witness = find_smooth_pair(13)
+            factors = witness.factorization()
+            p = min(factors)
             dep = context.recall(p)
             context.certificates[p] = Certificate(dep.side, dep.target + 1, dep.factors)
             try:
-                _witness_certificate(witness, context)
+                _witness_certificate(witness, factors, context)
             except VerificationError as exc:
                 print(f"{sys.flags.optimize} {exc}")
             """
@@ -859,7 +882,7 @@ class TestReachOne:
             except wildprove.BudgetExhaustedError as exc:
                 print(f"{sys.flags.optimize} {exc}")
             try:
-                wildprove.PrimeSieve.build(2**31)
+                wildprove.prime_flags(2**31)
             except ValueError as exc:
                 print(f"{sys.flags.optimize} {exc}")
             """
@@ -899,7 +922,7 @@ class TestInduction:
         for token in rendered.split():
             assert "=" in token  # line format stays machine-splittable
 
-    def test_hypothesis_three_covers_every_admissible_m(self):
+    def test_hypothesis_three_covers_every_admissible_m(self, monkeypatch):
         ctx = WildContext()
         induction_driver(14, context=ctx)
         m_bound = (2**14 - 1) // 189
@@ -911,13 +934,14 @@ class TestInduction:
             assert verify_certificate(cert).ok
         # each composite is a product of certified primes: building its
         # certificate needs no new smooth witness
-        witnesses = dict(ctx.witnesses)
+        built = record_witnesses(monkeypatch)
         for m in sorted(set(admissible) - set(primes)):
             cert = w_certificate_for_integer(m, ctx)
             assert cert.target == m and verify_certificate(cert).ok
-        assert ctx.witnesses == witnesses
+        assert built == []
 
     def test_each_s_certificate_is_built_once(self, monkeypatch):
+        witnesses = record_witnesses(monkeypatch)
         build = wildsemi.wildprove.s_certificate_for_integer
         built = []
         monkeypatch.setattr(
@@ -926,8 +950,8 @@ class TestInduction:
         ctx = WildContext(trajectory_budget=DEFAULT_TRAJECTORY_BOUND)
         induction_driver(14, context=ctx)
         assert len(built) == len(set(built)) == len(ctx.s_certificates)
-        witness_n = {w.n for w in ctx.witnesses.values()}
-        assert witness_n <= set(built) and len(witness_n) < len(ctx.witnesses)
+        witness_n = {w.n for w in witnesses}
+        assert witness_n <= set(built) and len(witness_n) < len(witnesses)
         assert 27 in built  # a hypothesis-2 spot of every level
 
     def test_capped_sweep_is_reported_as_capped(self):
