@@ -162,20 +162,57 @@ class AffineMap:
 _State = tuple[int, int, int, int, int]
 
 
-def _t_steps(state: _State, count: int) -> _State:
-    """`count` T steps on a walk state; the caller keeps count <= r."""
+def _t_step(state: _State) -> _State:
+    """One T step on a walk state; the caller keeps r >= 1."""
     a, b, t, u, r = state
-    for _ in range(count):
-        if u & 1:
-            a *= 3
-            b = 3 * b + (1 << t)
-            u = (3 * u + 1) >> 1
-        else:
-            u >>= 1
-        t += 1
-        r -= 1
-        u &= (1 << r) - 1
-    return a, b, t, u, r
+    if u & 1:
+        a *= 3
+        b = 3 * b + (1 << t)
+        u = (3 * u + 1) >> 1
+    else:
+        u >>= 1
+    r -= 1
+    return a, b, t + 1, u & ((1 << r) - 1), r
+
+
+def _jump_rows() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row w holds (3^k, c) for each v mod 2^w, with T^w(x) = (3^k*x + c)/2^w
+    on x = v mod 2^w, for 0 <= w <= 8.
+
+    Row w + 1 extends row w by one _t_step: v mod 2^(w+1) fixes the
+    parity of T^w(v) = (3^k*v + c)/2^w.
+    """
+    rows = [((1, 0),)]
+    for w in range(8):
+        row = []
+        for v in range(2 << w):
+            p, c = rows[w][v & ((1 << w) - 1)]
+            row.append(_t_step((p, c, w, (p * v + c) >> w, 1))[:2])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+_JUMP = _jump_rows()
+
+
+def _t_steps(state: _State, count: int) -> _State:
+    """`count` T steps on a walk state; the caller keeps count <= r.
+
+    Takes up to eight steps per lookup in _JUMP.  The residue u stays
+    exact mod 2^(remaining r) between lookups, since each jump divides
+    by 2^w with w <= r, and is masked once at the end.
+    """
+    a, b, t, u, r = state
+    r -= count
+    while count:
+        w = count if count < 8 else 8
+        p, c = _JUMP[w][u & ((1 << w) - 1)]
+        a *= p
+        b = p * b + (c << t)
+        u = (p * u + c) >> w
+        t += w
+        count -= w
+    return a, b, t, u & ((1 << r) - 1), r
 
 
 def _times(state: _State, m: int) -> _State:
@@ -196,7 +233,8 @@ def _walk(cls: ResidueClass, steps: Sequence[str]) -> tuple[AffineMap, int]:
     of the current value mod 2^r, r = j - (T steps so far).  Each T step
     consumes one bit of class knowledge, so exactly j T steps are
     required; parity at every T step is determined and every division
-    by 2 is exact on the class.
+    by 2 is exact on the class.  Steps are taken one at a time through
+    _t_step, so this walk checks the search's table jumps independently.
     """
     state = (1, 0, 0, cls.residue, cls.j)
     odd = 0
@@ -210,7 +248,7 @@ def _walk(cls: ResidueClass, steps: Sequence[str]) -> tuple[AffineMap, int]:
                 f"step list has more than {cls.j} T steps; parity is undetermined past the class depth"
             )
         odd += state[3] & 1
-        state = _t_steps(state, 1)
+        state = _t_step(state)
     a, b, t = state[:3]
     if t != cls.j:
         raise ClassMapError(f"step list has {t} T steps, class needs exactly {cls.j}")
@@ -331,8 +369,10 @@ def find_decreasing_steps(
     Order: fewer multiplications first, then smaller multiplier
     products, then earlier insertion positions.  Exactly j T steps;
     multiplications may sit before any of them.  Candidates are tested
-    on integer walk states grown from the plain walk's prefixes; tokens
-    are built only for the sequence returned.
+    on integer walk states grown from the plain walk's prefixes, up to
+    eight T steps per _JUMP lookup; tokens are built only for the
+    sequence returned, and symbolic_apply re-walks them one step at a
+    time when the record is made.
     """
     for m in products:
         if not _is_multiplier(m):
@@ -354,7 +394,7 @@ def find_decreasing_steps(
 
     prefix = [(1, 0, 0, cls.residue, j)]
     for _ in range(j):
-        prefix.append(_t_steps(prefix[-1], 1))
+        prefix.append(_t_step(prefix[-1]))
     if decreasing(prefix[j]):
         return steps_with()
     if limits.max_muls >= 1:
@@ -371,7 +411,7 @@ def find_decreasing_steps(
             for p1 in range(j - 1):
                 chain = _times(prefix[p1], m1)
                 for p2 in range(p1 + 1, j):
-                    chain = _t_steps(chain, 1)
+                    chain = _t_step(chain)
                     if decreasing(_t_steps(_times(chain, m2), j - p2)):
                         return steps_with((p1, m1), (p2, m2))
             # both multipliers at distinct spots only; a shared spot is

@@ -548,17 +548,17 @@ class CertStore:
     def _rewrite_index(self) -> None:
         # names gone from the directory drop out; only unseen ones are read
         lines: dict[str, str] = {}
-        for path in sorted(self.root.glob("*.cert")):
-            line = self._lines.get(path.name)
+        for name in sorted(e.name for e in os.scandir(self.root) if e.name.endswith(".cert")):
+            line = self._lines.get(name)
             if line is None:
                 try:
-                    cert = parse_certificate(path.read_text())
+                    cert = parse_certificate((self.root / name).read_text())
                     status = verify_certificate(cert).status.value
                     target = format_rational(cert.target)
                 except ValueError:
                     status, target = "unparseable", "?"
-                line = f"{path.name} {target} {status}"
-            lines[path.name] = line
+                line = f"{name} {target} {status}"
+            lines[name] = line
         self._lines = lines
         text = "\n".join(lines.values())
         self._write(self.root / "store.idx", text + "\n" if lines else "")

@@ -5,12 +5,34 @@ states.  This is the search as it stood before that: every candidate is
 a full token list, walked from the class root by symbolic_apply and
 judged by worst_ratio.  The tests check that both searches return the
 same steps.
+
+_t_steps is the walk-state T step as it stood before residue._t_steps
+jumped up to eight steps per table lookup: one bit at a time.  The
+tests check that both give the same state.
 """
 
 import itertools
 from typing import Optional, Sequence
 
 from wildsemi.residue import T_STEP, ResidueClass, SearchLimits, symbolic_apply, worst_ratio
+
+_State = tuple[int, int, int, int, int]
+
+
+def _t_steps(state: _State, count: int) -> _State:
+    """`count` T steps on a walk state; the caller keeps count <= r."""
+    a, b, t, u, r = state
+    for _ in range(count):
+        if u & 1:
+            a *= 3
+            b = 3 * b + (1 << t)
+            u = (3 * u + 1) >> 1
+        else:
+            u >>= 1
+        t += 1
+        r -= 1
+        u &= (1 << r) - 1
+    return a, b, t, u, r
 
 
 def find_decreasing_steps(

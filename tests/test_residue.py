@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ import reference_search
 from wildsemi import residue
 from wildsemi.residue import (
     DEFAULT_MULTIPLIER_BASE,
+    MOD_EXP_CAP,
+    T_STEP,
     AffineMap,
     ClassMapError,
     CoverageError,
@@ -140,6 +143,41 @@ class TestSymbolicApply:
             assert odd == sum(1 for step, v in zip(steps, values) if step == "T" and v & 1)
 
 
+class TestJumpTable:
+    """The search's table jumps against the concrete T step and the bit loop."""
+
+    def test_every_entry_matches_replay(self):
+        # x = v mod 2^w fixes the parities of the first w steps, so T^w is
+        # affine on the class; agreeing at two members proves the entry
+        assert [len(row) for row in residue._JUMP] == [2**w for w in range(9)]
+        for w in range(9):
+            for v, (p, c) in enumerate(residue._JUMP[w]):
+                for x in (v, v + 2**w):
+                    assert p * x + c == replay_steps(x, [T_STEP] * w)[-1] << w, (w, v, x)
+
+    @given(
+        st.one_of(st.integers(), st.integers(-(2**400), 2**400)),
+        st.one_of(st.integers(), st.integers(-(2**400), 2**400)),
+        st.integers(0, 200),
+        st.integers(0, MOD_EXP_CAP),
+        st.data(),
+    )
+    def test_jumps_match_the_bit_loop(self, a, b, t, r, data):
+        u = data.draw(st.integers(0, 2**r - 1)) if r else 0
+        count = data.draw(st.integers(0, r))
+        state = (a, b, t, u, r)
+        assert residue._t_steps(state, count) == reference_search._t_steps(state, count)
+
+    @pytest.mark.parametrize("r", [MOD_EXP_CAP, 7])
+    def test_every_count_up_to_r(self, r):
+        # every remainder mod 8 for the last, short jump
+        rng = random.Random(r)
+        for count in range(r + 1):
+            a, b, t, u = rng.getrandbits(300) + 1, rng.getrandbits(300), rng.randrange(100), rng.getrandbits(r)
+            state = (a, b, t, u, r)
+            assert residue._t_steps(state, count) == reference_search._t_steps(state, count), count
+
+
 class TestAffineMap:
     def test_apply(self):
         amap = AffineMap(Fraction(3, 4), Fraction(1, 4))
@@ -246,6 +284,21 @@ class TestSearchMatchesReference:
         assert len(searched) == 76
         for (cls, products, limits), steps in searched:
             assert reference_search.find_decreasing_steps(cls, products, limits) == steps, cls
+
+    @pytest.mark.parametrize("j", [48, 56, 64])
+    def test_seeded_classes_past_depth_44(self, j):
+        # uniform classes, which the plain walk or an x5 up front mostly
+        # decreases, and classes whose low bits are an all-ones run of
+        # length ell, where the search finds a later insertion or exhausts
+        rng = random.Random(j)
+        residues = [rng.randrange(2**j - 1) for _ in range(3)]
+        for ell in (j // 2, j - 16, j - 8, j - 4):
+            residues.append((2**ell - 1) | rng.randrange(2 ** (j - ell) - 1) << ell)
+        products = multiplier_products(DEFAULT_MULTIPLIER_BASE, 50)
+        for limits in (SearchLimits(max_muls=0), SearchLimits(max_muls=1)):
+            for cls in (ResidueClass(r, j) for r in residues):
+                expected = reference_search.find_decreasing_steps(cls, products, limits)
+                assert find_decreasing_steps(cls, products, limits) == expected, (cls, limits)
 
     def test_cover_mod_2_44_table_is_pinned(self, cover_44):
         table, _ = cover_44
