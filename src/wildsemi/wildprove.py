@@ -570,7 +570,8 @@ class WildContext:
     Holds verified W-certificates keyed by integer target (seeded with
     2, 5, 7, 11 only, verified here; the other built-ins are
     reconstructed, not assumed), verified trajectory S-certificates
-    keyed by integer, the coverage table, the trajectory budget, and an
+    keyed by integer, the witness record of each prime a smooth witness
+    was found for, the coverage table, the trajectory budget, and an
     optional persistent store.
     """
 
@@ -589,6 +590,7 @@ class WildContext:
         for seed in (5, 7, 11):
             self.certificates[seed] = _verified(base_certificate(seed), f"seed certificate for {seed}")
         self.s_certificates: dict[int, Certificate] = {}
+        self.records: dict[int, tuple[SmoothWitness, dict[int, int]]] = {}
 
     @property
     def coverage(self) -> CoverageTable:
@@ -603,6 +605,18 @@ class WildContext:
             cert = s_certificate_for_integer(n, self.trajectory_budget)
             self.s_certificates[n] = cert
         return cert
+
+    def witness_record(self, q: int) -> tuple[SmoothWitness, dict[int, int]]:
+        """The smooth witness of the prime q and the factorization of its s1*s2.
+
+        Found and factored once per context; the witness has checked its
+        identity q = (1/n) g(l) s1 s2 when it was built.
+        """
+        record = self.records.get(q)
+        if record is None:
+            witness = find_smooth_pair(q)
+            record = self.records[q] = witness, witness.factorization()
+        return record
 
     def remember(self, m: int, cert: Certificate) -> None:
         self.certificates[m] = cert
@@ -669,9 +683,11 @@ def _witness_certificate(
 def w_certificate_for_prime(q: int, context: Optional[WildContext] = None) -> Certificate:
     """A verified W-certificate for a prime q != 3.
 
-    Recursion on the largest prime, run iteratively: resolve smooth
-    witnesses until every dependency is a cached prime, then assemble
-    in ascending order.  Only 2, 5, 7 and 11 are consumed as built-ins.
+    Recursion on the largest prime, run iteratively: take the witness
+    record of each prime (context.witness_record, reused when the
+    induction driver already checked it) until every dependency is a
+    cached prime, then assemble in ascending order.  Only 2, 5, 7 and
+    11 are consumed as built-ins.
     """
     if context is None:
         context = WildContext()
@@ -688,10 +704,8 @@ def w_certificate_for_prime(q: int, context: Optional[WildContext] = None) -> Ce
         p = pending.pop()
         if p in needed or context.recall(p) is not None:
             continue
-        witness = find_smooth_pair(p)
-        factors = witness.factorization()
-        needed[p] = witness, factors
-        for dep in factors:
+        needed[p] = context.witness_record(p)
+        for dep in needed[p][1]:
             if context.recall(dep) is None:
                 pending.append(dep)  # dep < p, so this terminates
     for p in sorted(needed):
@@ -995,9 +1009,14 @@ def induction_driver(
         for the strata -1 mod 2^t (t = k-1) above it;
     (2) every 1 <= n <= 2^k - 2 reaches 1 (capped by the trajectory
         bound), with spot-built certificates;
-    (3) every m <= (2^k - 1)/189 with 3 not dividing m is wild: a
-        verified certificate for every prime, and closure for
-        composites (each prime factor already has one).
+    (3) every m <= (2^k - 1)/189 with 3 not dividing m is wild, in
+        ascending m: a prime without a verified certificate by its
+        witness record (the identity q = (1/n) g(l) s1 s2, checked by
+        SmoothWitness; n in S, by its trajectory certificate; each
+        prime factor of s1*s2 already covered), a composite by closure
+        (each prime factor already covered).  No certificate is built
+        for a prime here; w_certificate_for_prime builds one from the
+        record on demand.
     Any failure aborts with the offending k, hypothesis and witness.
     """
     if k_max < 12:
@@ -1102,18 +1121,19 @@ def induction_driver(
         for m in range(m_done + 1, m_bound + 1):
             if m % 3 == 0:
                 continue
-            factors = factorize(m)
-            if factors == {m: 1}:
+            factors, product = factorize(m), str(m)
+            if factors == {m: 1} and context.recall(m) is None:
                 try:
-                    w_certificate_for_prime(m, context)
-                except (SmoothPairExhaustionError, BudgetExhaustedError, VerificationError) as exc:
+                    witness, factors = context.witness_record(m)
+                    context.s_certificate(witness.n)
+                except (ValueError, SmoothPairExhaustionError, BudgetExhaustedError, VerificationError) as exc:
                     raise InductionError(k, 3, m, str(exc)) from exc
-            else:
-                # W is closed under multiplication: a composite is covered
-                # once each of its prime factors has a verified certificate
-                for p in factors:
-                    if context.recall(p) is None:
-                        raise InductionError(k, 3, m, f"prime factor {p} of {m} has no verified certificate")
+                product = f"s1*s2 = {witness.s1 * witness.s2}"
+            # W is closed under multiplication: m is covered once each
+            # prime factor of m, or of s1*s2 for a prime, is covered
+            for p in factors:
+                if p not in context.records and context.recall(p) is None:
+                    raise InductionError(k, 3, m, f"prime factor {p} of {product} has no verified certificate")
             covered += 1
         m_done = max(m_done, m_bound)
         lines.append(

@@ -362,6 +362,21 @@ class TestInductCommand:
         digest = "dc415c9bfbaa8af41c2fe0eaef38674c58ae5b45c540ad22353a11697c4b04e9"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_stdout_under_optimize_matches_the_readme_transcript(self):
+        # no hypothesis-3 check may rest on assert, which python -O strips
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "wildsemi", "induct", "13"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        readme = (root / "README.md").read_text()
+        assert done.stdout == readme.split("$ wildsemi induct 13\n", 1)[1].split("```", 1)[0]
+
     def test_validation(self, capsys):
         assert run(capsys, "induct", "11")[0] == EXIT_USAGE
         assert run(capsys, "induct", "12", "--traj-bound", "0")[0] == EXIT_USAGE

@@ -928,13 +928,14 @@ class TestInduction:
         m_bound = (2**14 - 1) // 189
         admissible = [m for m in range(2, m_bound + 1) if m % 3 != 0]
         primes = [m for m in admissible if is_prime_int(m)]
-        for p in primes:
-            cert = ctx.recall(p)
-            assert cert is not None and cert.target == p
-            assert verify_certificate(cert).ok
-        # each composite is a product of certified primes: building its
-        # certificate needs no new smooth witness
+        # the driver found every witness: a prime's certificate is built
+        # from the witness the run checked, and each composite is a
+        # product of those primes
         built = record_witnesses(monkeypatch)
+        for p in primes:
+            cert = w_certificate_for_prime(p, ctx)
+            assert cert.target == p
+            assert verify_certificate(cert).ok
         for m in sorted(set(admissible) - set(primes)):
             cert = w_certificate_for_integer(m, ctx)
             assert cert.target == m and verify_certificate(cert).ok
@@ -976,7 +977,7 @@ class TestInduction:
                     return real(n, *args)
                 return constructor
 
-            for name, bad in (("s_certificate_for_integer", 2048), ("w_certificate_for_prime", 19)):
+            for name, bad in (("s_certificate_for_integer", 2048), ("find_smooth_pair", 19)):
                 real = getattr(wildprove, name)
                 setattr(wildprove, name, failing_at(real, bad))
                 try:
@@ -991,31 +992,66 @@ class TestInduction:
         assert sweep == "1 12 3 19 k=12 hypothesis=3 witness=19: certificate for 19 failed: planted"
 
     def test_closure_gap_names_the_missing_prime_under_optimize(self):
-        # 17 is certified but never kept, and no other certificate built
-        # up to k = 13 depends on it, so 34 = 2 * 17 is the first
-        # composite whose closure check fails (13 would not do: the
-        # lift multiplier 43 = (2^7 + 1)/3 of hypothesis 1 needs it)
+        # a forgotten prime's witness checks out but is never kept.  No
+        # other witness found up to k = 13 depends on 17, so 34 = 2 * 17
+        # is the first composite whose closure check fails (13 would not
+        # do: the lift multiplier 43 = (2^7 + 1)/3 of hypothesis 1 needs
+        # it); the witness of the prime 31 rests on 23
         out = run_optimized(
             """
             import sys
-            from wildsemi import wildprove
             from wildsemi.wildprove import InductionError, WildContext, induction_driver
 
-            real = wildprove.w_certificate_for_prime
+            for forgotten in (17, 23):
+                class Forgetful(WildContext):
+                    def witness_record(self, q):
+                        return (WildContext() if q == forgotten else super()).witness_record(q)
 
-            def forgetful(q, context=None):
-                return real(q, WildContext() if q == 17 else context)
+                try:
+                    induction_driver(13, context=Forgetful())
+                except InductionError as exc:
+                    print(sys.flags.optimize, exc.k, exc.hypothesis, exc.witness, exc)
+            """
+        )
+        assert out.splitlines() == [
+            "1 13 3 34 k=13 hypothesis=3 witness=34: prime factor 17 of 34 has no verified certificate",
+            "1 13 3 31 k=13 hypothesis=3 witness=31: prime factor 23 of s1*s2 = 2645 has no verified certificate",
+        ]
 
-            wildprove.w_certificate_for_prime = forgetful
+    def test_wrong_witness_names_k_hypothesis_and_prime_under_optimize(self):
+        # the witness for 19 is handed back with n off by 9, so it fails
+        # its own identity check when it is built
+        out = run_optimized(
+            """
+            import dataclasses, sys
+            from wildsemi import wildprove
+            from wildsemi.wildprove import InductionError, induction_driver
+
+            real = wildprove.find_smooth_pair
+
+            def planted(q):
+                witness = real(q)
+                return dataclasses.replace(witness, n=witness.n + 9) if q == 19 else witness
+
+            wildprove.find_smooth_pair = planted
             try:
-                induction_driver(13)
+                induction_driver(12)
             except InductionError as exc:
                 print(sys.flags.optimize, exc.k, exc.hypothesis, exc.witness, exc)
             """
         )
-        assert out.splitlines() == [
-            "1 13 3 34 k=13 hypothesis=3 witness=34: prime factor 17 of 34 has no verified certificate"
-        ]
+        assert out.splitlines() == ["1 12 3 19 k=12 hypothesis=3 witness=19: n = 161 is not 9k + a < 54q"]
+
+    def test_certificates_from_records_match_the_multiply_chain(self, monkeypatch):
+        built = record_witnesses(monkeypatch)
+        ctx = WildContext(trajectory_budget=DEFAULT_TRAJECTORY_BOUND)
+        induction_driver(20, context=ctx)
+        recorded = sorted(w.q for w in built)
+        assert len(recorded) > 600
+        for q in recorded:
+            cert = w_certificate_for_prime(q, ctx)
+            assert cert == chain_witness_certificate(q, ctx), q
+            assert verify_certificate(cert).ok
 
     def test_broken_cover_aborts_hypothesis_one(self):
         from wildsemi.residue import CoverageTable, load_builtin_coverage
