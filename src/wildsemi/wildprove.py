@@ -494,19 +494,30 @@ class CertStore:
     s-<num>_<den>.cert for rational S targets.  The index lists
     `<filename> <target> <status>` per line, sorted.
 
-    Each put lists the directory and writes the index from memory: a
-    file is read, parsed and verified the first time an index write
-    needs its line, once per store object, and again only after this
-    store overwrites it.  A file another process rewrites in place
-    keeps its old line until a fresh store writes the index.  get
-    re-verifies every file it loads.  Files and the index are written
-    to a temporary name, which does not match *.cert, and then renamed.
+    Each put rebuilds the index from the previous one.  A file keeps its
+    old line when that line has the form put writes (three fields and a
+    known status) and the file's mtime is strictly older than the
+    index's, taken from the handle the index is read from.  Every other
+    file (new to the index, changed since it, or tied with it on mtime)
+    is read, parsed and verified; the file the put just wrote takes its
+    line from the certificate in hand, and names gone from the directory
+    drop out.  Deleting store.idx makes the next put re-derive every
+    line.  get never reads the index and re-verifies every file it
+    loads; a file that does not decode or parse is a miss.
+
+    Known limits: a file whose content changes while its mtime is set
+    back before the index's keeps its old line, and so does a file with
+    a hand-edited line, until the file changes; a file rewritten in
+    place while another process writes the index can keep the line that
+    process read before.  On a filesystem with coarse timestamps more
+    files tie with the index and are re-read.  Files and the index are
+    written to a temporary name, which does not match *.cert, and then
+    renamed.
     """
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._lines: dict[str, str] = {}  # file name -> its index line
 
     def _filename(self, cert: Certificate) -> Optional[str]:
         if cert.side is Side.W and cert.target.denominator != 1:
@@ -527,8 +538,7 @@ class CertStore:
             return None
         path = self.root / name
         self._write(path, serialize_certificate(cert))
-        self._lines.pop(name, None)
-        self._rewrite_index()
+        self._rewrite_index(name, cert)
         return path
 
     def get(self, side: Side, target: Fraction) -> Optional[Certificate]:
@@ -536,32 +546,47 @@ class CertStore:
         name = self._filename(probe) if target != 1 else None
         if name is None:
             return None
-        path = self.root / name
-        if not path.exists():
+        # stored files are untrusted; re-parse, re-verify and re-match before use
+        try:
+            cert = parse_certificate((self.root / name).read_text())
+        except (FileNotFoundError, ValueError):
             return None
-        cert = parse_certificate(path.read_text())
-        # stored files are untrusted; re-verify and re-match before use
         if cert.side is not side or cert.target != target or not verify_certificate(cert).ok:
             return None
         return cert
 
-    def _rewrite_index(self) -> None:
-        # names gone from the directory drop out; only unseen ones are read
-        lines: dict[str, str] = {}
-        for name in sorted(e.name for e in os.scandir(self.root) if e.name.endswith(".cert")):
-            line = self._lines.get(name)
-            if line is None:
-                try:
-                    cert = parse_certificate((self.root / name).read_text())
-                    status = verify_certificate(cert).status.value
-                    target = format_rational(cert.target)
-                except ValueError:
-                    status, target = "unparseable", "?"
-                line = f"{name} {target} {status}"
-            lines[name] = line
-        self._lines = lines
-        text = "\n".join(lines.values())
-        self._write(self.root / "store.idx", text + "\n" if lines else "")
+    def _line(self, name: str, cert: Optional[Certificate] = None) -> str:
+        # the file's index line, read from disk unless the certificate is in hand
+        try:
+            if cert is None:
+                cert = parse_certificate((self.root / name).read_text())
+            return f"{name} {format_rational(cert.target)} {verify_certificate(cert).status.value}"
+        except ValueError:
+            return f"{name} ? unparseable"
+
+    def _rewrite_index(self, written: str, cert: Certificate) -> None:
+        index = self.root / "store.idx"
+        kept = {}  # file name -> its line in the previous index, in the form put writes
+        try:
+            with open(index) as handle:
+                stamp = os.fstat(handle.fileno()).st_mtime_ns
+                for line in handle.read().splitlines():
+                    fields = line.split(" ")
+                    if len(fields) == 3 and fields[2] in ("pass", "mismatch", "invalid", "unparseable"):
+                        kept[fields[0]] = line
+        except (FileNotFoundError, ValueError):
+            pass  # no index, or one that does not decode: every line is derived
+        lines = []
+        with os.scandir(self.root) as entries:
+            for entry in sorted((e for e in entries if e.name.endswith(".cert")), key=lambda e: e.name):
+                line = kept.get(entry.name)
+                if entry.name == written:
+                    line = self._line(written, cert)
+                elif line is None or entry.stat().st_mtime_ns >= stamp:
+                    line = self._line(entry.name)
+                lines.append(line)
+        text = "\n".join(lines)
+        self._write(index, text + "\n" if lines else "")
 
 
 class WildContext:

@@ -1,8 +1,8 @@
-"""The store index as CertStore wrote it before it kept one in memory.
+"""The store index as CertStore wrote it when every put re-read every file.
 
 reference_index re-reads, re-parses and re-verifies every *.cert file
-in the directory on each call, the loop CertStore ran on every put; the
-store's in-memory index must write the same store.idx.
+in the directory on each call; a put, which reuses the lines of files
+older than the previous index, must write the same store.idx.
 """
 
 from pathlib import Path

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,12 @@ from hypothesis import strategies as st
 
 import wildsemi
 from wildsemi import cli, residue, wildprove
-from wildsemi.certify import Certificate
+from wildsemi.certify import Certificate, serialize_certificate
 from wildsemi.cli import EXIT_BUDGET, EXIT_MATH, EXIT_OK, EXIT_USAGE, main
 from wildsemi.residue import dump_coverage, load_builtin_coverage
 from wildsemi.wildprove import VerificationError
+
+from reference_store import reference_index
 
 
 def run(capsys, *argv):
@@ -152,6 +155,50 @@ class TestProveCommand:
             capsys, "prove", "w", "26", "--store", str(store), "--out", str(tmp_path / "b")
         )
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("content", [b"garbage\n", b"\xff\xfe\n"], ids=["text", "bytes"])
+    def test_unparseable_store_file_is_rebuilt(self, capsys, tmp_path, content):
+        store = tmp_path / "cache"
+        store.mkdir()
+        (store / "w-13.cert").write_bytes(content)
+        code, _, err = run(capsys, "prove", "w", "26", "--store", str(store), "--out", str(tmp_path / "b"))
+        assert (code, err) == (EXIT_OK, "")
+        code, out, _ = run(capsys, "verify", str(store / "w-13.cert"))
+        assert code == EXIT_OK and kv(out)["target"] == "13/1"
+        idx = (store / "store.idx").read_text()
+        assert "w-13.cert 13/1 pass\n" in idx and idx == reference_index(store)
+
+    def test_store_index_across_processes(self, tmp_path):
+        # separate interpreters, one under -O, each a fresh store; a
+        # mismatched file planted after an index, with a newer mtime,
+        # must be re-read by the next process
+        store = tmp_path / "cache"
+        src = str(Path(wildsemi.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+        def prove(m, *flags):
+            argv = [sys.executable, *flags, "-m", "wildsemi", "prove", "w", str(m), "--store", str(store)]
+            argv += ["--out", str(tmp_path / f"{m}.cert")]
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            return (store / "store.idx").read_text()
+
+        def plant(m, wrong):
+            good = wildprove.w_certificate_for_integer(m)
+            path = store / f"w-{m}.cert"
+            path.write_text(serialize_certificate(Certificate(good.side, Fraction(wrong), good.factors)))
+            stamp = (store / "store.idx").stat().st_mtime_ns + 10**9
+            os.utime(path, ns=(stamp, stamp))
+
+        assert prove(13) == reference_index(store)
+        plant(13, 15)
+        idx = prove(20, "-O")  # 20 = 4 * 5 does not load 13
+        assert idx == reference_index(store)
+        assert "w-13.cert 15/1 mismatch\n" in idx
+        plant(20, 21)
+        idx = prove(26)  # loads 13, refuses it and rebuilds it
+        assert idx == reference_index(store)
+        assert "w-13.cert 13/1 pass\n" in idx and "w-20.cert 21/1 mismatch\n" in idx
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", "2/0", "0/2"])
     def test_junk_values_are_usage(self, capsys, tmp_path, value):

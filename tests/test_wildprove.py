@@ -110,6 +110,20 @@ def run_optimized(script):
     return done.stdout
 
 
+def count_parses(monkeypatch):
+    """The texts CertStore parses from now on, in order."""
+    parse = wildsemi.wildprove.parse_certificate
+    parsed = []
+    monkeypatch.setattr(wildsemi.wildprove, "parse_certificate", lambda text: parsed.append(text) or parse(text))
+    return parsed
+
+
+def backdate(path, index):
+    """Set path's mtime one second before the index's."""
+    stamp = index.stat().st_mtime_ns - 10**9
+    os.utime(path, ns=(stamp, stamp))
+
+
 def chain_integer_certificate(m, context):
     """Reference: identity times each prime-power certificate, one multiply at a time."""
     cert = identity_certificate(Side.W)
@@ -717,15 +731,95 @@ class TestCertStore:
         existing, new = certs[:40], certs[40:]
         for cert in existing:
             (tmp_path / f"w-{cert.target.numerator}.cert").write_text(serialize_certificate(cert))
-        parse = wildsemi.wildprove.parse_certificate
-        parsed = []
-        monkeypatch.setattr(wildsemi.wildprove, "parse_certificate", lambda text: parsed.append(text) or parse(text))
+        parsed = count_parses(monkeypatch)
         store = CertStore(tmp_path)
         for cert in new:
-            store.put(cert)
-        # one parse per existing file on the first put, then one per put
-        assert len(parsed) == len(existing) + len(new) == 60
+            path = store.put(cert)
+            # older than the index it was listed in, even where mtimes are coarse
+            backdate(path, tmp_path / "store.idx")
+        # one parse per existing file on the first put; each put takes its
+        # own file's line from the certificate in hand
+        assert len(parsed) == len(existing) == 40
         assert (tmp_path / "store.idx").read_text() == reference_index(tmp_path)
+        for path in tmp_path.glob("*.cert"):
+            backdate(path, tmp_path / "store.idx")
+        older = {path.read_text() for path in tmp_path.glob("*.cert")}
+        assert len(older) == 60
+        parsed.clear()
+        fresh = CertStore(tmp_path)
+        for m in (1091, 1093, 1094, 1096, 1097):
+            fresh.put(w_certificate_for_integer(m, ctx))
+            assert (tmp_path / "store.idx").read_text() == reference_index(tmp_path)
+        # a fresh store trusts the lines of files older than the index
+        assert older.isdisjoint(parsed)
+
+    @pytest.mark.parametrize("offset", [0, 1], ids=["tied", "newer"])
+    def test_in_place_rewrite_at_or_after_the_index_is_re_read(self, tmp_path, monkeypatch, offset):
+        ctx = WildContext()
+        store = CertStore(tmp_path)
+        for m in (13, 17, 20):
+            store.put(w_certificate_for_integer(m, ctx))
+        index = tmp_path / "store.idx"
+        for path in tmp_path.glob("*.cert"):
+            backdate(path, index)
+        wrong = serialize_certificate(Certificate(Side.W, Fraction(15), w_certificate_for_integer(13, ctx).factors))
+        (tmp_path / "w-13.cert").write_text(wrong)
+        stamp = index.stat().st_mtime_ns + offset * 10**9
+        os.utime(tmp_path / "w-13.cert", ns=(stamp, stamp))
+        parsed = count_parses(monkeypatch)
+        CertStore(tmp_path).put(w_certificate_for_integer(23, ctx))
+        idx = index.read_text()
+        assert idx == reference_index(tmp_path)
+        assert "w-13.cert 15/1 mismatch\n" in idx
+        assert parsed == [wrong]  # the other files keep their lines
+
+    def test_rewrite_set_back_before_the_index_keeps_its_line(self, tmp_path):
+        # the documented limit: the rule reads mtimes, not contents
+        ctx = WildContext()
+        store = CertStore(tmp_path)
+        store.put(w_certificate_for_integer(13, ctx))
+        index = tmp_path / "store.idx"
+        wrong = Certificate(Side.W, Fraction(15), w_certificate_for_integer(13, ctx).factors)
+        (tmp_path / "w-13.cert").write_text(serialize_certificate(wrong))
+        backdate(tmp_path / "w-13.cert", index)
+        store.put(w_certificate_for_integer(17, ctx))
+        assert "w-13.cert 13/1 pass\n" in index.read_text()
+        index.unlink()  # the way to force a full re-read
+        store.put(w_certificate_for_integer(20, ctx))
+        assert index.read_text() == reference_index(tmp_path)
+        assert "w-13.cert 15/1 mismatch\n" in index.read_text()
+
+    def test_malformed_index_lines_are_re_derived(self, tmp_path, monkeypatch):
+        ctx = WildContext()
+        store = CertStore(tmp_path)
+        for m in (13, 17, 20, 22):
+            store.put(w_certificate_for_integer(m, ctx))
+        index = tmp_path / "store.idx"
+        lines = index.read_text().splitlines()
+        assert lines == ["w-13.cert 13/1 pass", "w-17.cert 17/1 pass", "w-20.cert 20/1 pass", "w-22.cert 22/1 pass"]
+        # a missing field, an unknown status, an extra field; w-22 is kept
+        lines[:3] = ["w-13.cert pass", "w-17.cert 17/1 ok", "w-20.cert 20/1 pass extra"]
+        index.write_text("\n".join(lines) + "\n")
+        for path in tmp_path.glob("*.cert"):
+            backdate(path, index)
+        parsed = count_parses(monkeypatch)
+        CertStore(tmp_path).put(w_certificate_for_integer(23, ctx))
+        assert index.read_text() == reference_index(tmp_path)
+        assert sorted(parsed) == sorted((tmp_path / f"w-{m}.cert").read_text() for m in (13, 17, 20))
+
+    def test_deleted_index_re_reads_every_file(self, tmp_path, monkeypatch):
+        ctx = WildContext()
+        store = CertStore(tmp_path)
+        for m in (13, 17, 20):
+            store.put(w_certificate_for_integer(m, ctx))
+        index = tmp_path / "store.idx"
+        for path in tmp_path.glob("*.cert"):
+            backdate(path, index)
+        index.unlink()
+        parsed = count_parses(monkeypatch)
+        CertStore(tmp_path).put(w_certificate_for_integer(23, ctx))
+        assert index.read_text() == reference_index(tmp_path)
+        assert sorted(parsed) == sorted((tmp_path / f"w-{m}.cert").read_text() for m in (13, 17, 20))
 
 
 class TestLift:
