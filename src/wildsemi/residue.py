@@ -337,8 +337,14 @@ class SearchLimits:
 
     def __post_init__(self) -> None:
         # the search explores at most two multiplication sites
-        if self.max_depth < 1 or not 0 <= self.max_muls <= 2 or self.mul_cap < 1:
-            raise ValueError(f"nonsensical search limits {self}; max_muls must be in 0..2")
+        rules = {
+            "max_depth >= 1": self.max_depth >= 1,
+            "max_muls in 0..2": 0 <= self.max_muls <= 2,
+            "mul_cap >= 1": self.mul_cap >= 1,
+        }
+        broken = [rule for rule, holds in rules.items() if not holds]
+        if broken:
+            raise ValueError(f"nonsensical search limits {self}; need {' and '.join(broken)}")
 
 
 def multiplier_products(base: Iterable[int], cap: int) -> tuple[int, ...]:

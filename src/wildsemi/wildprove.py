@@ -209,12 +209,12 @@ def _least_divisor(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Exact prime factorization of a positive integer.
 
-    Trial division by SMALL_PRIMES divides out every prime below
-    TRIAL_BOUND.  Each cofactor is then split by math.isqrt for squares
-    and by Pollard-Brent rho once it is known composite: by is_prime_int
-    below MR_EXACT_BELOW, by failing the strong probable-prime test at
-    or above it.  Only a probable prime at or above MR_EXACT_BELOW is
-    settled by trial division by 6k +- 1 up to its square root.
+    Trial division by SMALL_PRIMES removes every prime below TRIAL_BOUND
+    and is not repeated on the cofactors.  Each is split by math.isqrt
+    for squares and by Pollard-Brent rho once it fails the strong
+    probable-prime test.  A probable prime is prime below
+    MR_EXACT_BELOW; only one at or above it is settled by trial
+    division by 6k +- 1 up to its square root.
     """
     if n < 1:
         raise ValueError(f"factorize wants a positive integer, got {n}")
@@ -237,10 +237,10 @@ def factorize(n: int) -> dict[int, int]:
             d = m
         elif root * root == m:
             d = root
-        elif m < MR_EXACT_BELOW:
-            d = m if is_prime_int(m) else _rho_divisor(m)
         elif not _strong_probable_prime(m):
             d = _rho_divisor(m)
+        elif m < MR_EXACT_BELOW:
+            d = m
         else:
             d = _least_divisor(m)
         if d == m:
@@ -398,7 +398,11 @@ def pi_inequality_range(q_min: int, q_max: int) -> RangeCheckSummary:
 
 @dataclass(frozen=True)
 class SmoothWitness:
-    """The data realizing q = (1/n) g(l) s1 s2; fully self-validating."""
+    """The data realizing q = (1/n) g(l) s1 s2; fully self-validating.
+
+    factors is s1*s2 as (p, e) pairs, p ascending, each p a prime below
+    q (so s1 and s2 are q-smooth); it is checked, not recomputed.
+    """
 
     q: int
     a: int
@@ -407,24 +411,25 @@ class SmoothWitness:
     s2: int
     k: int
     n: int
+    factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        q, a, r, s1, s2, k, n = (
-            self.q,
-            self.a,
-            self.r,
-            self.s1,
-            self.s2,
-            self.k,
-            self.n,
-        )
+        q, a, r, s1, s2, k, n = self.q, self.a, self.r, self.s1, self.s2, self.k, self.n
         if not (1 <= a <= 8) or (a * q) % 9 != 8:
             raise ValueError(f"a = {a} is not the canonical residue for q = {q}")
         if 3 * r != 2 * a * q - 1 or r % 6 != 5:
             raise ValueError(f"r = {r} is not (2aq-1)/3 or not -1 mod 6")
         for s in (s1, s2):
-            if not (0 < s < 6 * q) or math.gcd(s, 6 * q) != 1 or smooth_factorization(s, q) is None:
-                raise ValueError(f"{s} is not a q-smooth unit below 6q for q = {q}")
+            if not (0 < s < 6 * q) or math.gcd(s, 6 * q) != 1:
+                raise ValueError(f"{s} is not a unit below 6q for q = {q}")
+        below, product, bits = 1, 1, (s1 * s2).bit_length()
+        for p, e in self.factors:
+            # p^e divides s1*s2 only if e < bits (p >= 2): a bound checked before the power
+            if not (below < p < q and 1 <= e < bits) or not is_prime_int(p):
+                raise ValueError(f"({p}, {e}) is not a prime in ({below}, {q}) with an exponent in 1..{bits - 1}")
+            below, product = p, product * p**e
+        if product != s1 * s2:
+            raise ValueError(f"factors multiply to {product}, not s1*s2 = {s1 * s2}")
         if s1 * s2 != 6 * q * k + r or not (0 <= k < 6 * q):
             raise ValueError(f"s1*s2 = {s1 * s2} is not 6qk + r with 0 <= k < 6q")
         if n != 9 * k + a or n >= 54 * q:
@@ -436,25 +441,14 @@ class SmoothWitness:
     def l(self) -> int:
         return (self.n * self.q - 2) // 3
 
-    def factorization(self) -> dict[int, int]:
-        """The factorization of s1*s2, each factored alone.
-
-        Both are below 6q; their product can reach 36q^2 and so leave
-        the range where factorize is fast.
-        """
-        factors = factorize(self.s1)
-        for p, e in factorize(self.s2).items():
-            factors[p] = factors.get(p, 0) + e
-        return factors
-
 
 def find_smooth_pair(q: int) -> SmoothWitness:
     """Deterministic witness: smallest s1 whose forced partner is smooth.
 
     s2 is pinned by s1 (s2 = r * s1^-1 mod 6q), so scanning s1 in
-    ascending order makes the witness reproducible.  Exhausting every
-    smooth s1 below 6q raises; that happens only for small q where the
-    smooth set is thin (q = 5, 7, 11), and those targets are built in.
+    ascending order makes the witness reproducible; the scan's
+    factorizations of s1 and s2 become its factors.  Exhausting every
+    smooth s1 below 6q raises (only for the thin q = 5, 7, 11, built in).
     """
     if q < 5:
         raise ValueError(f"find_smooth_pair wants a prime >= 5, got {q}")
@@ -463,11 +457,17 @@ def find_smooth_pair(q: int) -> SmoothWitness:
     s1, step = 1, 4  # walk the units mod 6: 1, 5, 7, 11, ...
     while s1 < mod:
         # a smooth s1 is prime to q, so it is a unit mod 6q
-        if smooth_factorization(s1, q) is not None:
+        factors = smooth_factorization(s1, q)
+        if factors is not None:
             s2 = (r * pow(s1, -1, mod)) % mod
-            if smooth_factorization(s2, q) is not None:
+            partner = smooth_factorization(s2, q)
+            if partner is not None:
+                for p, e in partner.items():
+                    factors[p] = factors.get(p, 0) + e
                 k = (s1 * s2 - r) // mod
-                return SmoothWitness(q=q, a=a, r=r, s1=s1, s2=s2, k=k, n=9 * k + a)
+                return SmoothWitness(
+                    q=q, a=a, r=r, s1=s1, s2=s2, k=k, n=9 * k + a, factors=tuple(sorted(factors.items()))
+                )
         s1 += step
         step = 6 - step
     raise SmoothPairExhaustionError(
@@ -595,9 +595,9 @@ class WildContext:
     Holds verified W-certificates keyed by integer target (seeded with
     2, 5, 7, 11 only, verified here; the other built-ins are
     reconstructed, not assumed), verified trajectory S-certificates
-    keyed by integer, the witness record of each prime a smooth witness
-    was found for, the coverage table, the trajectory budget, and an
-    optional persistent store.
+    keyed by integer, the smooth witness of each prime one was found
+    for (with the factorization of its s1*s2), the coverage table, the
+    trajectory budget, and an optional persistent store.
     """
 
     def __init__(
@@ -615,7 +615,7 @@ class WildContext:
         for seed in (5, 7, 11):
             self.certificates[seed] = _verified(base_certificate(seed), f"seed certificate for {seed}")
         self.s_certificates: dict[int, Certificate] = {}
-        self.records: dict[int, tuple[SmoothWitness, dict[int, int]]] = {}
+        self.records: dict[int, SmoothWitness] = {}
 
     @property
     def coverage(self) -> CoverageTable:
@@ -631,17 +631,16 @@ class WildContext:
             self.s_certificates[n] = cert
         return cert
 
-    def witness_record(self, q: int) -> tuple[SmoothWitness, dict[int, int]]:
-        """The smooth witness of the prime q and the factorization of its s1*s2.
+    def witness_record(self, q: int) -> SmoothWitness:
+        """The smooth witness of the prime q, found once per context.
 
-        Found and factored once per context; the witness has checked its
-        identity q = (1/n) g(l) s1 s2 when it was built.
+        The witness carries the factorization of its s1*s2 and checked
+        it, and the identity q = (1/n) g(l) s1 s2, when it was built.
         """
-        record = self.records.get(q)
-        if record is None:
-            witness = find_smooth_pair(q)
-            record = self.records[q] = witness, witness.factorization()
-        return record
+        witness = self.records.get(q)
+        if witness is None:
+            witness = self.records[q] = find_smooth_pair(q)
+        return witness
 
     def remember(self, m: int, cert: Certificate) -> None:
         self.certificates[m] = cert
@@ -681,20 +680,15 @@ def s_certificate_for_integer(
     return _verified(Certificate(Side.S, Fraction(n), tuple(factors)), f"trajectory certificate for {n}")
 
 
-def _witness_certificate(
-    witness: SmoothWitness, factors: dict[int, int], context: WildContext
-) -> Certificate:
-    """q = (1/n) * g(l) * s1 * s2 from verified parts, the S-certificate for n as 1/n.
-
-    factors is witness.factorization(), computed once by the caller.
-    """
+def _witness_certificate(witness: SmoothWitness, context: WildContext) -> Certificate:
+    """q = (1/n) * g(l) * s1 * s2 from verified parts, the S-certificate for n as 1/n."""
     middle = Certificate(
         Side.W,
         Fraction(3 * witness.l + 2, 2 * witness.l + 1),
         ((witness.l, 1),),
     )
     parts = [(context.s_certificate(witness.n), 1), (middle, 1)]
-    for p, e in sorted(factors.items()):
+    for p, e in witness.factors:
         dep = context.recall(p)
         if dep is None:
             raise VerificationError(f"dependency {p} missing while assembling {witness.q}")
@@ -724,17 +718,17 @@ def w_certificate_for_prime(q: int, context: Optional[WildContext] = None) -> Ce
     if cached is not None:
         return cached
     pending = [q]
-    needed: dict[int, tuple[SmoothWitness, dict[int, int]]] = {}
+    needed: dict[int, SmoothWitness] = {}
     while pending:
         p = pending.pop()
         if p in needed or context.recall(p) is not None:
             continue
         needed[p] = context.witness_record(p)
-        for dep in needed[p][1]:
+        for dep, _ in needed[p].factors:
             if context.recall(dep) is None:
                 pending.append(dep)  # dep < p, so this terminates
     for p in sorted(needed):
-        context.remember(p, _witness_certificate(*needed[p], context))
+        context.remember(p, _witness_certificate(needed[p], context))
     return context.certificates[q]
 
 
@@ -1149,11 +1143,11 @@ def induction_driver(
             factors, product = factorize(m), str(m)
             if factors == {m: 1} and context.recall(m) is None:
                 try:
-                    witness, factors = context.witness_record(m)
+                    witness = context.witness_record(m)
                     context.s_certificate(witness.n)
                 except (ValueError, SmoothPairExhaustionError, BudgetExhaustedError, VerificationError) as exc:
                     raise InductionError(k, 3, m, str(exc)) from exc
-                product = f"s1*s2 = {witness.s1 * witness.s2}"
+                factors, product = dict(witness.factors), f"s1*s2 = {witness.s1 * witness.s2}"
             # W is closed under multiplication: m is covered once each
             # prime factor of m, or of s1*s2 for a prime, is covered
             for p in factors:

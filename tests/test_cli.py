@@ -304,8 +304,11 @@ class TestCoverageCommand:
         assert run(capsys, "coverage", "--fixture", "--bits", "0")[0] == EXIT_USAGE
         assert run(capsys, "coverage", "--fixture", "--bits", "65")[0] == EXIT_USAGE
         assert run(capsys, "coverage", "--regen", "--bits", "4", "--mul-cap", "0")[0] == EXIT_USAGE
+        # the message names the limit that is out of range, not another
+        code, _, err = run(capsys, "coverage", "--regen", "--bits", "12", "--mul-cap", "0")
+        assert code == EXIT_USAGE and "need mul_cap >= 1" in err and "max_muls in" not in err
         code, _, err = run(capsys, "coverage", "--regen", "--bits", "12", "--max-muls", "3")
-        assert code == EXIT_USAGE and err.startswith("error:") and "max_muls" in err
+        assert code == EXIT_USAGE and err.startswith("error:") and "need max_muls in 0..2" in err
         # the limits are checked in fixture mode too
         assert run(capsys, "coverage", "--fixture", "--bits", "12", "--mul-cap", "0")[0] == EXIT_USAGE
         assert run(capsys, "coverage", "--fixture", "--bits", "12", "--max-muls", "-1")[0] == EXIT_USAGE

@@ -133,12 +133,16 @@ def chain_integer_certificate(m, context):
 
 
 def chain_witness_certificate(q, context):
-    """Reference: (1/n) * g(l) * s1 * s2 for q, one multiply at a time."""
+    """Reference: (1/n) * g(l) * s1 * s2 for q, one multiply at a time.
+
+    s1 and s2 are factored here by trial division, not read from the
+    witness's factors.
+    """
     w = find_smooth_pair(q)  # deterministic: the witness the context used
     inv_n = invert_certificate(s_certificate_for_integer(w.n, context.trajectory_budget))
     middle = Certificate(Side.W, Fraction(3 * w.l + 2, 2 * w.l + 1), ((w.l, 1),))
     cert = multiply_certificates(inv_n, middle)
-    for p, e in sorted(w.factorization().items()):
+    for p, e in itertools.chain(trial_factorize(w.s1).items(), trial_factorize(w.s2).items()):
         cert = multiply_certificates(cert, certificate_power(context.recall(p), e))
     return cert
 
@@ -463,7 +467,7 @@ class TestPiRoute:
 class TestSmoothPair:
     def test_thirteen_witness(self):
         w = find_smooth_pair(13)
-        assert w == SmoothWitness(q=13, a=2, r=17, s1=25, s2=35, k=11, n=101)
+        assert w == SmoothWitness(q=13, a=2, r=17, s1=25, s2=35, k=11, n=101, factors=((5, 3), (7, 1)))
         assert w.l == 437
         assert w.s1 * w.s2 == 875
 
@@ -482,6 +486,51 @@ class TestSmoothPair:
             dataclasses.replace(w, s2=65)  # 65 = 5*13 shares a factor with 6q
         with pytest.raises(ValueError):
             dataclasses.replace(w, n=100)
+
+    def test_tampered_factors_are_refused_under_optimize(self):
+        # each tampered factorization is refused when the witness is
+        # built; one planted through find_smooth_pair stops hypothesis 3
+        out = run_optimized(
+            """
+            import dataclasses, sys
+            from wildsemi import wildprove
+            from wildsemi.wildprove import InductionError, find_smooth_pair, induction_driver
+
+            forty_seven = find_smooth_pair(47)  # s1*s2 = 125 = 5^3
+            nineteen = find_smooth_pair(19)  # s1*s2 = 1925 = 5^2 * 7 * 11
+            for witness, factors in (
+                (forty_seven, ((5, 1), (25, 1))),  # composite, same product
+                (forty_seven, ((5, 3), (47, 1))),  # not below q
+                (forty_seven, ((5, 2),)),  # wrong product
+                (forty_seven, ((5, 3), (7, 0))),  # exponent 0, same product
+                (nineteen, ((7, 1), (5, 2), (11, 1))),  # out of order, same product
+            ):
+                try:
+                    dataclasses.replace(witness, factors=factors)
+                except ValueError as exc:
+                    print(sys.flags.optimize, exc)
+
+            real = wildprove.find_smooth_pair
+
+            def planted(q):
+                witness = real(q)
+                return dataclasses.replace(witness, factors=((5, 1), (7, 1), (11, 1))) if q == 19 else witness
+
+            wildprove.find_smooth_pair = planted
+            try:
+                induction_driver(12)
+            except InductionError as exc:
+                print(sys.flags.optimize, exc)
+            """
+        )
+        assert out.splitlines() == [
+            "1 (25, 1) is not a prime in (5, 47) with an exponent in 1..6",
+            "1 (47, 1) is not a prime in (5, 47) with an exponent in 1..6",
+            "1 factors multiply to 25, not s1*s2 = 125",
+            "1 (7, 0) is not a prime in (5, 47) with an exponent in 1..6",
+            "1 (5, 2) is not a prime in (7, 19) with an exponent in 1..10",
+            "1 k=12 hypothesis=3 witness=19: factors multiply to 385, not s1*s2 = 1925",
+        ]
 
     @given(st.integers(13, 3000))
     def test_found_pairs_validate(self, lo):
@@ -555,14 +604,28 @@ class TestWCertificates:
         assert not set(witnessed) & {2, 5, 7, 11}
 
     def test_each_witness_is_factored_once(self, monkeypatch):
+        # the scan of find_smooth_pair factors s1 and s2; the witness
+        # carries those factors and nothing factors them again
         built = record_witnesses(monkeypatch)
-        factorization = SmoothWitness.factorization
-        factored = []
-        monkeypatch.setattr(SmoothWitness, "factorization", lambda w: factored.append(w) or factorization(w))
+        real_factorize = wildsemi.wildprove.factorize
+        calls, searching = [], []
+        monkeypatch.setattr(wildsemi.wildprove, "factorize", lambda n: calls.append(n) or real_factorize(n))
+        find = wildsemi.wildprove.find_smooth_pair
+
+        def find_counted(q):
+            start = len(calls)
+            witness = find(q)
+            searching.extend(calls[start:])
+            return witness
+
+        monkeypatch.setattr(wildsemi.wildprove, "find_smooth_pair", find_counted)
         cert = w_certificate_for_prime(2**30 - 35, WildContext())
         assert verify_certificate(cert).ok
         assert len(built) > 1
-        assert factored == built
+        assert calls == searching  # no factorize call outside find_smooth_pair
+        calls.clear()
+        assert [dataclasses.replace(w) for w in built] == built
+        assert calls == []  # building a witness factors nothing
 
     def test_refusals(self):
         with pytest.raises(NotInSemigroupError):
@@ -652,12 +715,11 @@ class TestAssembly:
             from wildsemi.wildprove import VerificationError, WildContext, _witness_certificate, find_smooth_pair
             context = WildContext()
             witness = find_smooth_pair(13)
-            factors = witness.factorization()
-            p = min(factors)
+            p = witness.factors[0][0]
             dep = context.recall(p)
             context.certificates[p] = Certificate(dep.side, dep.target + 1, dep.factors)
             try:
-                _witness_certificate(witness, factors, context)
+                _witness_certificate(witness, context)
             except VerificationError as exc:
                 print(f"{sys.flags.optimize} {exc}")
             """
