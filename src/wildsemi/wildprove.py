@@ -37,7 +37,7 @@ from .certify import (
     verify_certificate,
 )
 from .core import DEFAULT_TRAJECTORY_BUDGET, format_rational, t_iterate, trajectory_to_one
-from .residue import CoverageTable, load_builtin_coverage, replay_steps, verify_coverage_table
+from .residue import _JUMP, CoverageTable, load_builtin_coverage, replay_steps, verify_coverage_table
 
 # numpy is imported inside the sieves and the reach sweep, the only code
 # that builds arrays, so prove, verify, coverage and search never load it
@@ -905,79 +905,121 @@ class ReachOneStats:
         return int(self.step_counts[: n + 1].max())
 
 
-REACH_CHUNK = 1 << 16  # starts descended together; temporaries stay a few MB
-REACH_INT64_LIMIT = (2**63 - 2) // 3  # largest v whose 3v + 1 fits in int64
+REACH_CHUNK = 1 << 15  # odd starts descended together; temporaries stay a few MB
+# A jump of w <= 8 T steps maps v = 2^w*q + u to 3^k*q + T^w(u), and
+# T^w(u) < 3^w for u < 2^w, so it ends below 3^w*(v + 1)/2^w; from v up
+# to this limit that is at most 2^63 for every w the table holds.
+REACH_INT64_LIMIT = ((2**63 // 3 ** (len(_JUMP) - 1)) << (len(_JUMP) - 1)) - 1
 REACH_STEP_GUARD = 10 * DEFAULT_TRAJECTORY_BUDGET
 REACH_STEPS_MAX = 2**16 - 1  # step counts are stored as uint16
 
 
-def _descend(start: int, stop: int, floor: int) -> tuple[np.ndarray, np.ndarray]:
-    """T-iterate every n in [start, stop) until it falls below floor.
+def _descend(
+    start: int, stop: int, floor: int, jump: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """T-iterate every odd n in [start, stop) until it falls below floor.
 
-    Returns the value reached and the number of steps taken, per n.
-    Values past REACH_INT64_LIMIT finish the descent in Python ints.
+    jump = (mult, add) holds row w of residue._JUMP as two arrays, so
+    one gather takes w T steps: T^w(2^w*q + u) = mult[u]*q + add[u].  A
+    start stops at the first jump that lands below floor; returns the
+    value reached and the number of steps taken, per start.  Values
+    past REACH_INT64_LIMIT finish the descent in Python ints.
     """
     import numpy as np
 
-    v = np.arange(start, stop, dtype=np.int64)
-    pos = np.arange(stop - start)
-    reached = np.empty(stop - start, dtype=np.int64)
-    count = np.empty(stop - start, dtype=np.int64)
+    mult, add = jump
+    w, mask = mult.size.bit_length() - 1, mult.size - 1
+    v = np.arange(start, stop, 2, dtype=np.int64)
+    pos = np.arange(v.size)
+    reached = np.empty(v.size, dtype=np.int64)
+    count = np.empty(v.size, dtype=np.int64)
     t = 0
     while v.size:
         if t > REACH_STEP_GUARD:
-            raise BudgetExhaustedError(f"descent from {start + pos[0]} exceeded every sane budget")
+            raise BudgetExhaustedError(f"descent from {start + 2 * pos[0]} exceeded every sane budget")
         if v.max() > REACH_INT64_LIMIT:
             big = v > REACH_INT64_LIMIT
-            for j in np.flatnonzero(big):
-                x, c = int(v[j]), t
-                while x >= floor:
-                    x = (3 * x + 1) >> 1 if x & 1 else x >> 1
-                    c += 1
-                    if c > REACH_STEP_GUARD:
-                        raise BudgetExhaustedError(
-                            f"descent from {start + pos[j]} exceeded every sane budget"
-                        )
-                reached[pos[j]], count[pos[j]] = x, c
+            for j in np.flatnonzero(big).tolist():
+                n = start + 2 * int(pos[j])
+                reached[pos[j]], count[pos[j]] = _descend_int(n, int(v[j]), t, floor)
             v, pos = v[~big], pos[~big]
             continue
-        v = (v >> 1) + (v & 1) * (v + 1)  # T: v/2 or (3v + 1)/2
-        t += 1
-        done = v < floor
-        reached[pos[done]] = v[done]
-        count[pos[done]] = t
-        v, pos = v[~done], pos[~done]
+        u = v & mask
+        v = np.take(mult, u) * (v >> w) + np.take(add, u)
+        t += w
+        # every live start records where it is; a start that goes on
+        # overwrites its entry at a later jump
+        reached[pos] = v
+        count[pos] = t
+        keep = v >= floor
+        v, pos = v[keep], pos[keep]
     return reached, count
+
+
+def _descend_int(n: int, v: int, steps: int, floor: int) -> tuple[int, int]:
+    """The descent of n below floor, from its value v after `steps` steps,
+    one T step at a time in Python ints."""
+    while v >= floor:
+        v = (3 * v + 1) >> 1 if v & 1 else v >> 1
+        steps += 1
+        if steps > REACH_STEP_GUARD:
+            raise BudgetExhaustedError(f"descent from {n} exceeded every sane budget")
+    return v, steps
 
 
 def reach_one_range(bound: int) -> ReachOneStats:
     """Confirm every 1 <= n <= bound reaches 1 under T, with step counts.
 
-    Sweeps the dyadic blocks [2^i, 2^(i+1)) in order, REACH_CHUNK starts
-    at a time in numpy: each start is iterated until it falls below
-    2^i, where every step count is already known, and that count is
-    added.  A start's total does not depend on where its descent stops,
-    so the counts are those of the one-start-at-a-time descent; starts
-    whose values leave int64 range finish in Python ints.  Counts are
-    kept as uint16; a chunk with a count above REACH_STEPS_MAX raises
-    BudgetExhaustedError naming its starts instead of wrapping.
+    Sweeps the dyadic blocks [2^i, 2^(i+1)) in order.  An even n takes
+    one step to n/2, which lies in the finished block below, so the
+    even starts get steps[n/2] + 1 in one slice.  The odd starts descend
+    REACH_CHUNK at a time in numpy, w = min(8, i) T steps per gather
+    from the table residue._JUMP (the width is the table's), until a
+    jump lands below 2^i, and the count stored there is added.
+
+    The counts are exact however far below 2^i that jump lands: from a
+    value v >= 2^i, each T step at least halves, so the values after the
+    first w - 1 steps of a jump are >= 2^(i-w+1) >= 2, and a trajectory
+    never passes through 1 inside a jump; so the count to the value
+    reached plus that value's count is the count to the first 1.
+    Starts whose values leave int64 range finish in Python ints.
+    Counts are kept as uint16; a count above REACH_STEPS_MAX raises
+    BudgetExhaustedError naming its starts instead of wrapping.  A bound
+    above SIEVE_LIMIT_MAX (2 bytes per n) is refused before anything is
+    allocated.
     """
     import numpy as np
 
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+    if not 1 <= bound <= SIEVE_LIMIT_MAX:
+        raise ValueError(f"reach bound must be in 1..{SIEVE_LIMIT_MAX}, got {bound}")
+    # row w of _JUMP holds (3^k, c) with T^w(x) = (3^k*x + c)/2^w on x = u
+    # mod 2^w, so T^w(2^w*q + u) = 3^k*q + (3^k*u + c)/2^w
+    jumps = [
+        (
+            np.array([p for p, _ in row], dtype=np.int64),
+            np.array([(p * u + c) >> w for u, (p, c) in enumerate(row)], dtype=np.int64),
+        )
+        for w, row in enumerate(_JUMP)
+    ]
     steps = np.zeros(bound + 1, dtype=np.uint16)
     for i in range(1, bound.bit_length()):
         floor, top = 1 << i, min(2 << i, bound + 1)
-        for start in range(floor, top, REACH_CHUNK):
-            stop = min(start + REACH_CHUNK, top)
-            reached, count = _descend(start, stop, floor)
+        half = steps[floor >> 1 : (top + 1) >> 1]  # n/2 for the even n in the block
+        if half.max() >= REACH_STEPS_MAX:
+            raise BudgetExhaustedError(
+                f"a step count from {floor} to {(top - 1) & -2} exceeds {REACH_STEPS_MAX}"
+            )
+        np.add(half, 1, out=steps[floor:top:2])
+        jump = jumps[min(i, len(_JUMP) - 1)]
+        for start in range(floor + 1, top, 2 * REACH_CHUNK):
+            stop = min(start + 2 * REACH_CHUNK, top)
+            reached, count = _descend(start, stop, floor, jump)
             total = count + steps[reached]
             if total.max() > REACH_STEPS_MAX:
                 raise BudgetExhaustedError(
-                    f"a step count from {start} to {stop - 1} exceeds {REACH_STEPS_MAX}"
+                    f"a step count from {start} to {start + 2 * (total.size - 1)} exceeds {REACH_STEPS_MAX}"
                 )
-            steps[start:stop] = total
+            steps[start:stop:2] = total
     max_at = int(np.argmax(steps[1:])) + 1  # the first n with the most steps
     return ReachOneStats(
         bound=bound, max_steps=int(steps[max_at]), max_steps_at=max_at, step_counts=steps

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -430,6 +431,29 @@ class TestInductCommand:
     def test_validation(self, capsys):
         assert run(capsys, "induct", "11")[0] == EXIT_USAGE
         assert run(capsys, "induct", "12", "--traj-bound", "0")[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("bound", ["2147483648", "99999999999999"])
+    def test_oversized_traj_bound_is_refused_before_allocating(self, bound):
+        # the sweep runs to min(2^40 - 2, bound); 2^31 would take a 4 GiB
+        # step-count array, which the 1 GiB address-space cap turns into
+        # a traceback, so the refusal must come first, and under -O too
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "wildsemi", "induct", "40", "--traj-bound", bound],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=cap,
+        )
+        assert done.returncode == EXIT_USAGE, done.stderr
+        assert done.stdout == ""
+        reach = min(2**40 - 2, int(bound))
+        assert done.stderr.splitlines()[-1] == f"error: reach bound must be in 1..2147483647, got {reach}"
 
 
 class TestImportPath:

@@ -21,6 +21,7 @@ from wildsemi.certify import (
     serialize_certificate,
     verify_certificate,
 )
+from wildsemi.core import t_iterate
 from wildsemi.residue import replay_steps
 from wildsemi.wildprove import (
     DEFAULT_TRAJECTORY_BOUND,
@@ -182,12 +183,38 @@ def loop_reach_one(bound):
 
 
 def flat_descent(steps):
-    """A stand-in for _descend: every start lands on 1 after `steps` steps."""
+    """A stand-in for _descend: every odd start lands on 1 after `steps` steps."""
 
-    def descend(start, stop, floor):
-        return np.ones(stop - start, dtype=np.int64), np.full(stop - start, steps, dtype=np.int64)
+    def descend(start, stop, floor, jump):
+        size = len(range(start, stop, 2))
+        return np.ones(size, dtype=np.int64), np.full(size, steps, dtype=np.int64)
 
     return descend
+
+
+def record_int_descents(monkeypatch):
+    """The starts that finish in Python ints from here on, via a wrapper on _descend_int."""
+    started = []
+    descend = wildsemi.wildprove._descend_int
+    monkeypatch.setattr(wildsemi.wildprove, "_descend_int", lambda n, *args: started.append(n) or descend(n, *args))
+    return started
+
+
+def jump_values_above(bound, limit):
+    """Reference: the odd starts n <= bound of each block [2^i, 2^(i+1)) whose
+    value before some jump of min(8, i) T steps exceeds limit, one step at a
+    time, jumps taken until one lands below 2^i."""
+    above = []
+    for n in range(3, bound + 1, 2):
+        i = n.bit_length() - 1
+        v = n
+        while v >= 1 << i:
+            if v > limit:
+                above.append(n)
+                break
+            for _ in range(min(8, i)):
+                v = (3 * v + 1) >> 1 if v & 1 else v >> 1
+    return sorted(above)
 
 
 class TestPrimeSieve:
@@ -990,7 +1017,13 @@ class TestReachOne:
         with pytest.raises(ValueError):
             reach_one_range(0)
 
-    @pytest.mark.parametrize("bound", [1, 2, 3, 27, 1000, 2**16 + 3, 2**18])
+    # odd and even tops of the last block, one-element last blocks
+    # ([2^8, 2^8 + 1), [2^18, 2^18 + 1)) and the bounds where the jump
+    # width min(8, i) grows or stops growing
+    @pytest.mark.parametrize(
+        "bound",
+        [1, 2, 3, 4, 5, 27, 2**8 - 1, 2**8, 2**8 + 1, 2**9 + 1, 1000, 2**16 + 3, 2**17 - 2, 2**17 - 1, 2**18],
+    )
     def test_matches_the_loop(self, bound):
         steps, max_steps, max_at = loop_reach_one(bound)
         stats = reach_one_range(bound)
@@ -999,30 +1032,57 @@ class TestReachOne:
 
     @pytest.mark.parametrize("bound", [1000, 2**16 + 3])
     def test_python_int_path_matches_the_loop(self, bound, monkeypatch):
-        # values above 10^4 now finish the descent in Python ints
+        # values above 10^4 now finish the descent in Python ints, and
+        # they do: exactly the starts that pass 10^4 before a jump
         monkeypatch.setattr(wildsemi.wildprove, "REACH_INT64_LIMIT", 10**4)
+        started = record_int_descents(monkeypatch)
         steps, max_steps, max_at = loop_reach_one(bound)
         stats = reach_one_range(bound)
         assert np.array_equal(stats.step_counts, steps)
         assert (stats.max_steps, stats.max_steps_at) == (max_steps, max_at)
+        assert 703 in started
+        assert sorted(started) == jump_values_above(bound, 10**4)
+
+    def test_int64_limit_is_the_largest_safe_start_of_a_jump(self):
+        # a jump of w <= 8 steps from v = 2^w*q + u ends at 3^k*q + T^w(u);
+        # every v of the top q = limit >> 8 stays in int64, the next q not
+        limit = wildsemi.wildprove.REACH_INT64_LIMIT
+        tops = range(limit >> 8 << 8, limit + 1)
+        assert max(t_iterate(v, w) for v in tops for w in range(1, 9)) <= 2**63 - 1
+        assert t_iterate(limit + 2**8, 8) > 2**63 - 1
 
     def test_runaway_descent_raises(self, monkeypatch):
         # 27 needs 65 steps to fall below 16; the guard trips in both paths
         monkeypatch.setattr(wildsemi.wildprove, "REACH_STEP_GUARD", 40)
-        with pytest.raises(BudgetExhaustedError):
+        with pytest.raises(BudgetExhaustedError, match="descent from 27 exceeded"):
             reach_one_range(27)
         monkeypatch.setattr(wildsemi.wildprove, "REACH_INT64_LIMIT", 10)
-        with pytest.raises(BudgetExhaustedError):
+        started = record_int_descents(monkeypatch)
+        with pytest.raises(BudgetExhaustedError, match="descent from 27 exceeded"):
             reach_one_range(27)
+        assert started[-1] == 27
 
     def test_step_counts_fill_uint16(self, monkeypatch):
+        # odd starts reach 65535 themselves; even ones as half + 1
         monkeypatch.setattr(wildsemi.wildprove, "_descend", flat_descent(REACH_STEPS_MAX))
-        assert reach_one_range(100).max_steps == REACH_STEPS_MAX
+        assert reach_one_range(5).max_steps == REACH_STEPS_MAX
+        monkeypatch.setattr(wildsemi.wildprove, "_descend", flat_descent(REACH_STEPS_MAX - 1))
+        stats = reach_one_range(7)
+        assert (stats.max_steps, stats.max_steps_at) == (REACH_STEPS_MAX, 6)
 
     def test_step_counts_past_uint16_raise(self, monkeypatch):
         monkeypatch.setattr(wildsemi.wildprove, "_descend", flat_descent(REACH_STEPS_MAX + 1))
-        with pytest.raises(BudgetExhaustedError, match="from 2 to 3 exceeds 65535"):
+        with pytest.raises(BudgetExhaustedError, match="from 3 to 3 exceeds 65535"):
             reach_one_range(100)
+        # 3 holds 65535, so 6 = 2 * 3 would need 65536: the even slice raises
+        monkeypatch.setattr(wildsemi.wildprove, "_descend", flat_descent(REACH_STEPS_MAX))
+        with pytest.raises(BudgetExhaustedError, match="from 4 to 6 exceeds 65535"):
+            reach_one_range(100)
+
+    def test_oversized_bound_is_refused_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(np, "zeros", lambda *args, **kwargs: pytest.fail("allocated"))
+        with pytest.raises(ValueError, match="reach bound must be in 1..2147483647, got 2147483648"):
+            reach_one_range(SIEVE_LIMIT_MAX + 1)
 
     def test_guards_survive_optimize(self):
         out = run_optimized(
@@ -1030,13 +1090,17 @@ class TestReachOne:
             import sys
             import numpy as np
             from wildsemi import wildprove
-            def flat(start, stop, floor):
-                return np.ones(stop - start, dtype=np.int64), np.full(stop - start, 70000)
-            wildprove._descend = flat
-            try:
-                wildprove.reach_one_range(100)
-            except wildprove.BudgetExhaustedError as exc:
-                print(f"{sys.flags.optimize} {exc}")
+            def flat(steps):
+                def descend(start, stop, floor, jump):
+                    size = len(range(start, stop, 2))
+                    return np.ones(size, dtype=np.int64), np.full(size, steps)
+                return descend
+            for steps in (70000, 65535):
+                wildprove._descend = flat(steps)
+                try:
+                    wildprove.reach_one_range(100)
+                except wildprove.BudgetExhaustedError as exc:
+                    print(f"{sys.flags.optimize} {exc}")
             try:
                 wildprove.prime_flags(2**31)
             except ValueError as exc:
@@ -1044,7 +1108,8 @@ class TestReachOne:
             """
         )
         assert out.splitlines() == [
-            "1 a step count from 2 to 3 exceeds 65535",
+            "1 a step count from 3 to 3 exceeds 65535",
+            "1 a step count from 4 to 6 exceeds 65535",
             "1 sieve limit must be in 2..2147483647, got 2147483648",
         ]
 
