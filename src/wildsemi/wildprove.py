@@ -1070,12 +1070,17 @@ def induction_driver(
         for the strata -1 mod 2^t (t = k-1) above it;
     (2) every 1 <= n <= 2^k - 2 reaches 1 (capped by the trajectory
         bound), with spot-built certificates;
-    (3) every m <= (2^k - 1)/189 with 3 not dividing m is wild, in
-        ascending m: a prime without a verified certificate by its
-        witness record (the identity q = (1/n) g(l) s1 s2, checked by
-        SmoothWitness; n in S, by its trajectory certificate; each
-        prime factor of s1*s2 already covered), a composite by closure
-        (each prime factor already covered).  No certificate is built
+    (3) every m <= (2^k - 1)/189 with 3 not dividing m is wild.  The
+        primes come from one sieve up to (2^k_max - 1)/189, so k_max
+        is at most 38.  In ascending order, a prime without a verified
+        certificate is checked by its witness record (the identity
+        q = (1/n) g(l) s1 s2, checked by SmoothWitness; n in S, by its
+        trajectory certificate; each prime factor of s1*s2 already
+        covered).  A composite is covered by closure, with no step of
+        its own: it fails only if a prime factor is a gap, a prime left
+        with neither a record nor a certificate, and the first such
+        composite is the least admissible multiple of a gap, named
+        unless a prime below it fails first.  No certificate is built
         for a prime here; w_certificate_for_prime builds one from the
         record on demand.
     Any failure aborts with the offending k, hypothesis and witness.
@@ -1102,8 +1107,28 @@ def induction_driver(
 
     reach_bound = min((1 << k_max) - 2, trajectory_bound)
     reach = reach_one_range(reach_bound)
+    # hypothesis 3 takes its primes from one sieve up to (2^k_max - 1)/189,
+    # which SIEVE_LIMIT_MAX caps at k_max = 38
+    m_limit = ((1 << k_max) - 1) // 189
+    if m_limit > SIEVE_LIMIT_MAX:
+        raise ValueError(f"induction runs to k_max = 38 at most, got k_max = {k_max}")
+    flags = prime_flags(m_limit)
+
+    def uncovered(p: int) -> bool:
+        return p not in context.records and context.recall(p) is None
+
+    def close_composites(below: int) -> None:
+        """Raise for the least composite in (m_done, below) prime to 3 with a prime factor in gaps."""
+        least = below
+        for p in gaps:
+            j = max(2, m_done // p + 1)  # p*j is the least multiple above m_done with j >= 2 ...
+            least = min(least, p * (j + 1 if j % 3 == 0 else j))  # ... and 3 not dividing j
+        if least < below:
+            p = min(p for p in factorize(least) if uncovered(p))
+            raise InductionError(k, 3, least, f"prime factor {p} of {least} has no verified certificate")
 
     m_done = 1
+    gaps: list[int] = []
     for k in range(12, k_max + 1):
         # hypothesis 1
         if k == 12:
@@ -1176,26 +1201,28 @@ def induction_driver(
                 ),
             )
         )
-        # hypothesis 3
+        # hypothesis 3: the primes in ascending order, the composites by
+        # closure through the gaps (see the docstring)
         m_bound = ((1 << k) - 1) // 189
-        covered = 0
-        for m in range(m_done + 1, m_bound + 1):
-            if m % 3 == 0:
+        gaps = [p for p in gaps if uncovered(p)]  # hypothesis 1 may have covered some
+        for q in (flags[m_done + 1 : m_bound + 1].nonzero()[0] + (m_done + 1)).tolist():
+            if q == 3 or context.recall(q) is not None:
                 continue
-            factors, product = factorize(m), str(m)
-            if factors == {m: 1} and context.recall(m) is None:
-                try:
-                    witness = context.witness_record(m)
-                    context.s_certificate(witness.n)
-                except (ValueError, SmoothPairExhaustionError, BudgetExhaustedError, VerificationError) as exc:
-                    raise InductionError(k, 3, m, str(exc)) from exc
-                factors, product = dict(witness.factors), f"s1*s2 = {witness.s1 * witness.s2}"
-            # W is closed under multiplication: m is covered once each
-            # prime factor of m, or of s1*s2 for a prime, is covered
-            for p in factors:
-                if p not in context.records and context.recall(p) is None:
-                    raise InductionError(k, 3, m, f"prime factor {p} of {product} has no verified certificate")
-            covered += 1
+            try:
+                witness = context.witness_record(q)
+                context.s_certificate(witness.n)
+            except (ValueError, SmoothPairExhaustionError, BudgetExhaustedError, VerificationError) as exc:
+                close_composites(q)
+                raise InductionError(k, 3, q, str(exc)) from exc
+            for p, _ in witness.factors:
+                if uncovered(p):
+                    close_composites(q)
+                    product = f"s1*s2 = {witness.s1 * witness.s2}"
+                    raise InductionError(k, 3, q, f"prime factor {p} of {product} has no verified certificate")
+            if uncovered(q):
+                gaps.append(q)
+        close_composites(m_bound + 1)
+        admissible = (m_bound - m_bound // 3) - (m_done - m_done // 3)  # 3 does not divide m
         m_done = max(m_done, m_bound)
         lines.append(
             InductionLine(
@@ -1205,7 +1232,7 @@ def induction_driver(
                 status="pass",
                 details=(
                     ("m_bound", str(m_bound)),
-                    ("new_certificates", str(covered)),
+                    ("new_certificates", str(admissible)),
                 ),
             )
         )

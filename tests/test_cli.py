@@ -455,6 +455,36 @@ class TestInductCommand:
         reach = min(2**40 - 2, int(bound))
         assert done.stderr.splitlines()[-1] == f"error: reach bound must be in 1..2147483647, got {reach}"
 
+    def test_k_max_beyond_the_sieve_is_refused_before_allocating(self):
+        # hypothesis 3 sieves the primes up to (2^k_max - 1)/189 at once,
+        # which fits prime_flags up to k_max = 38; at 39 the refusal
+        # comes before the sieve, under the 1 GiB cap and under -O
+        assert (2**38 - 1) // 189 <= wildprove.SIEVE_LIMIT_MAX < (2**39 - 1) // 189
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "wildsemi", "induct", "39", "--traj-bound", "1000"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=cap,
+        )
+        assert done.returncode == EXIT_USAGE, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.splitlines()[-1] == "error: induction runs to k_max = 38 at most, got k_max = 39"
+
+    def test_stdout_to_k_24_is_pinned(self, capsys):
+        # levels 23 and 24 are where hypothesis 3 covers the most m
+        code, out, _ = run(capsys, "induct", "24")
+        assert code == EXIT_OK
+        digest = "ebc07cb43af08e18c702123a41e94f8892614e4b612c9f01bc88515566eb2640"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestImportPath:
     def test_commands_without_arrays_never_import_numpy(self, tmp_path):
@@ -514,7 +544,8 @@ class TestParsing:
                     assert "=" in line
 
 
-# tokens stay small: int() accepts "1_000", and `induct 1000` runs for minutes
+# tokens stay small: int() accepts "1_000", and `induct 30` runs for tens of seconds
+# (`induct` refuses a k_max above 38 at once)
 COMMANDS = ("verify", "prove", "coverage", "search", "smooth", "pi-check", "induct")
 FLAGS = (
     "--help",

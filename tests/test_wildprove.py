@@ -1239,6 +1239,62 @@ class TestInduction:
             "1 13 3 31 k=13 hypothesis=3 witness=31: prime factor 23 of s1*s2 = 2645 has no verified certificate",
         ]
 
+    def test_gaps_are_named_at_their_least_composite_under_optimize(self):
+        # a composite has no step of its own: it fails through its least
+        # uncovered prime factor, at the level its least admissible
+        # multiple of a gap falls in.  41 is checked at k = 13 (m <= 43)
+        # and no witness up to k = 14 rests on it, so 82 = 2 * 41 fails
+        # at k = 14; 34 = 2 * 17 comes before 38 = 2 * 19.  A prime
+        # seeded with a certificate is covered and never asked for a
+        # record, so forgetting its record does nothing
+        out = run_optimized(
+            """
+            import sys
+            from wildsemi.wildprove import InductionError, WildContext, induction_driver, w_certificate_for_prime
+
+            asked = []
+            for forgotten, seeded, k_max in (({17, 19}, (), 13), ({41}, (), 14), ({17, 41}, (17, 41), 14)):
+                class Forgetful(WildContext):
+                    def witness_record(self, q):
+                        asked.append(q)
+                        return (WildContext() if q in forgotten else super()).witness_record(q)
+
+                context = Forgetful()
+                for p in seeded:
+                    context.certificates[p] = w_certificate_for_prime(p, WildContext())
+                asked.clear()
+                try:
+                    induction_driver(k_max, context=context)
+                    print(sys.flags.optimize, "pass", 17 in asked, 41 in asked, 19 in asked)
+                except InductionError as exc:
+                    print(sys.flags.optimize, exc.k, exc.hypothesis, exc.witness, exc)
+            """
+        )
+        assert out.splitlines() == [
+            "1 13 3 34 k=13 hypothesis=3 witness=34: prime factor 17 of 34 has no verified certificate",
+            "1 14 3 82 k=14 hypothesis=3 witness=82: prime factor 41 of 82 has no verified certificate",
+            "1 pass False False True",
+        ]
+
+    def test_hypothesis_three_factors_no_admissible_m(self, monkeypatch):
+        # only the smooth-pair scan factors, besides hypothesis 1's first
+        # use of each one-step multiplier; the driver factors no m
+        factorize = wildsemi.wildprove.factorize
+        calls = []
+
+        def counted(n):
+            calls.append((sys._getframe(1).f_code.co_name, n))
+            return factorize(n)
+
+        monkeypatch.setattr(wildsemi.wildprove, "factorize", counted)
+        induction_driver(18)
+        scanned = [n for caller, n in calls if caller == "smooth_factorization"]
+        assert len(scanned) > 500
+        assert [call for call in calls if call[0] != "smooth_factorization"] == [
+            ("w_certificate_for_integer", 43),
+            ("w_certificate_for_integer", 29),
+        ]
+
     def test_wrong_witness_names_k_hypothesis_and_prime_under_optimize(self):
         # the witness for 19 is handed back with n off by 9, so it fails
         # its own identity check when it is built
