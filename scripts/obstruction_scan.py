@@ -31,8 +31,10 @@ def main() -> int:
     parser.add_argument("--max-j", type=int, default=20, help="largest class exponent")
     parser.add_argument("--seed", type=int, default=20260814)
     args = parser.parse_args()
-    if args.max_j < 2:
-        parser.error("--max-j must be >= 2")
+    if args.samples < 1:
+        parser.error("--samples must be >= 1")
+    if not 2 <= args.max_j <= residue.MOD_EXP_CAP:
+        parser.error(f"--max-j must be in 2..{residue.MOD_EXP_CAP}")
 
     rng = random.Random(args.seed)
     tightest = None  # (margin, j, steps)

@@ -17,9 +17,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 from .certify import (
     CertificateParseError,
-    Side,
     VerifyStatus,
-    certificate_product,
     parse_certificate,
     serialize_certificate,
     verify_certificate,
@@ -50,13 +48,12 @@ from .wildprove import (
     SmoothPairExhaustionError,
     VerificationError,
     WildContext,
-    _verified,
     cert_filename,
     find_smooth_pair,
     induction_driver,
     pi_inequality_range,
     s_certificate_for_rational,
-    w_certificate_for_integer,
+    w_certificate_for_rational,
 )
 
 EXIT_OK = 0
@@ -84,8 +81,10 @@ def _progress(message: str) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Replay one certificate file and report pass/mismatch."""
+    """Replay one certificate file and report pass/mismatch, or list a directory."""
     path = args.path
+    if path.is_dir():
+        return _verify_dir(path)
     try:
         text = path.read_text()
     except OSError as exc:
@@ -104,9 +103,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if result.ok else EXIT_MATH
 
 
+def _verify_dir(root: Path) -> int:
+    """Replay every *.cert in root, in name order, one `entry=<file> <target> <status>` line each."""
+    entries = []
+    for path in sorted(root.glob("*.cert")):
+        try:
+            cert = parse_certificate(path.read_text())
+            target, status = format_rational(cert.target), verify_certificate(cert).status.value
+        except OSError as exc:
+            raise UsageError(f"cannot read {path}: {exc}") from exc
+        except ValueError:  # does not decode or parse
+            target, status = "?", "unparseable"
+        entries.append((path.name, target, status))
+    for entry in entries:
+        _emit("entry", " ".join(entry))
+    _emit("entries", len(entries))
+    ok = all(status == "pass" for _, _, status in entries)
+    _emit("status", "pass" if ok else "fail")
+    return EXIT_OK if ok else EXIT_MATH
+
+
 def cmd_prove(args: argparse.Namespace) -> int:
     """Construct a membership certificate and write it to a file."""
-    value = args.value
     store = None
     if args.store is not None:
         try:
@@ -114,24 +132,13 @@ def cmd_prove(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise UsageError(f"cannot open store {args.store}: {exc}") from exc
     context = WildContext(trajectory_budget=args.budget, store=store)
+    build = s_certificate_for_rational if args.side == "s" else w_certificate_for_rational
     try:
-        if args.side == "s":
-            cert = s_certificate_for_rational(value, context)
-        elif value.denominator == 1:
-            cert = w_certificate_for_integer(value.numerator, context)
-        else:
-            # a W-certificate for num/den is the mirror of an S-certificate
-            # for den/num, which exists iff 3 does not divide num
-            if value.numerator % 3 == 0:
-                raise NotInSemigroupError(
-                    f"numerator {value.numerator} is divisible by 3; {value} is not in the wild semigroup"
-                )
-            mirror = certificate_product(Side.W, [(s_certificate_for_rational(1 / value, context), 1)])
-            cert = _verified(mirror, f"mirrored certificate for {format_rational(value)}")
+        cert = build(args.value, context)
     except OSError as exc:
         # the store is the only file the construction touches
         raise UsageError(f"cannot use store {args.store}: {exc}") from exc
-    destination = args.out if args.out is not None else Path(cert_filename(cert))
+    destination = args.out if args.out is not None else Path(cert_filename(cert.side, cert.target))
     try:
         destination.write_text(serialize_certificate(cert))
     except OSError as exc:
@@ -305,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("verify", help="replay a certificate file")
-    p.add_argument("path", type=Path)
+    p = sub.add_parser("verify", help="replay a certificate file, or every *.cert in a directory")
+    p.add_argument("path", type=Path, help="certificate file, or a directory such as a --store DIR")
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("prove", help="construct and write a membership certificate")

@@ -480,113 +480,56 @@ def find_smooth_pair(q: int) -> SmoothWitness:
 # --------------------------------------------------------------------------
 
 
-def cert_filename(cert: Certificate) -> str:
+def cert_filename(side: Side, target: Fraction) -> str:
     """<side>-<num>.cert, or <side>-<num>_<den>.cert for a non-integer target."""
-    t = cert.target
-    stem = str(t.numerator) if t.denominator == 1 else f"{t.numerator}_{t.denominator}"
-    return f"{str(cert.side).lower()}-{stem}.cert"
+    stem = str(target.numerator) if target.denominator == 1 else f"{target.numerator}_{target.denominator}"
+    return f"{str(side).lower()}-{stem}.cert"
 
 
 class CertStore:
-    """Directory of certificate files plus a store.idx index.
+    """Directory of certificate files, one per target.
 
     File names: w-<m>.cert and s-<n>.cert for integer targets,
-    s-<num>_<den>.cert for rational S targets.  The index lists
-    `<filename> <target> <status>` per line, sorted.
-
-    Each put rebuilds the index from the previous one.  A file keeps its
-    old line when that line has the form put writes (three fields and a
-    known status) and the file's mtime is strictly older than the
-    index's, taken from the handle the index is read from.  Every other
-    file (new to the index, changed since it, or tied with it on mtime)
-    is read, parsed and verified; the file the put just wrote takes its
-    line from the certificate in hand, and names gone from the directory
-    drop out.  Deleting store.idx makes the next put re-derive every
-    line.  get never reads the index and re-verifies every file it
-    loads; a file that does not decode or parse is a miss.
-
-    Known limits: a file whose content changes while its mtime is set
-    back before the index's keeps its old line, and so does a file with
-    a hand-edited line, until the file changes; a file rewritten in
-    place while another process writes the index can keep the line that
-    process read before.  On a filesystem with coarse timestamps more
-    files tie with the index and are re-read.  Files and the index are
-    written to a temporary name, which does not match *.cert, and then
-    renamed.
+    s-<num>_<den>.cert for rational S targets; a rational W target is
+    not stored.  A put writes its one file under a temporary name, which
+    does not match *.cert, and renames it into place.  get re-verifies
+    every file it loads; a file that does not decode or parse is a miss.
+    `wildsemi verify DIR` lists a store.
     """
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _filename(self, cert: Certificate) -> Optional[str]:
-        if cert.side is Side.W and cert.target.denominator != 1:
+    def _path(self, side: Side, target: Fraction) -> Optional[Path]:
+        if side is Side.W and target.denominator != 1:
             return None
-        return cert_filename(cert)
+        return self.root / cert_filename(side, target)
 
-    def _write(self, path: Path, text: str) -> None:
+    def put(self, cert: Certificate) -> Optional[Path]:
+        path = self._path(cert.side, cert.target)
+        if path is None:
+            return None
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(text)
+            tmp.write_text(serialize_certificate(cert))
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-
-    def put(self, cert: Certificate) -> Optional[Path]:
-        name = self._filename(cert)
-        if name is None:
-            return None
-        path = self.root / name
-        self._write(path, serialize_certificate(cert))
-        self._rewrite_index(name, cert)
         return path
 
     def get(self, side: Side, target: Fraction) -> Optional[Certificate]:
-        probe = Certificate(side, target, ())
-        name = self._filename(probe) if target != 1 else None
-        if name is None:
+        path = self._path(side, target) if target != 1 else None
+        if path is None:
             return None
         # stored files are untrusted; re-parse, re-verify and re-match before use
         try:
-            cert = parse_certificate((self.root / name).read_text())
+            cert = parse_certificate(path.read_text())
         except (FileNotFoundError, ValueError):
             return None
         if cert.side is not side or cert.target != target or not verify_certificate(cert).ok:
             return None
         return cert
-
-    def _line(self, name: str, cert: Optional[Certificate] = None) -> str:
-        # the file's index line, read from disk unless the certificate is in hand
-        try:
-            if cert is None:
-                cert = parse_certificate((self.root / name).read_text())
-            return f"{name} {format_rational(cert.target)} {verify_certificate(cert).status.value}"
-        except ValueError:
-            return f"{name} ? unparseable"
-
-    def _rewrite_index(self, written: str, cert: Certificate) -> None:
-        index = self.root / "store.idx"
-        kept = {}  # file name -> its line in the previous index, in the form put writes
-        try:
-            with open(index) as handle:
-                stamp = os.fstat(handle.fileno()).st_mtime_ns
-                for line in handle.read().splitlines():
-                    fields = line.split(" ")
-                    if len(fields) == 3 and fields[2] in ("pass", "mismatch", "invalid", "unparseable"):
-                        kept[fields[0]] = line
-        except (FileNotFoundError, ValueError):
-            pass  # no index, or one that does not decode: every line is derived
-        lines = []
-        with os.scandir(self.root) as entries:
-            for entry in sorted((e for e in entries if e.name.endswith(".cert")), key=lambda e: e.name):
-                line = kept.get(entry.name)
-                if entry.name == written:
-                    line = self._line(written, cert)
-                elif line is None or entry.stat().st_mtime_ns >= stamp:
-                    line = self._line(entry.name)
-                lines.append(line)
-        text = "\n".join(lines)
-        self._write(index, text + "\n" if lines else "")
 
 
 class WildContext:
@@ -597,7 +540,9 @@ class WildContext:
     reconstructed, not assumed), verified trajectory S-certificates
     keyed by integer, the smooth witness of each prime one was found
     for (with the factorization of its s1*s2), the coverage table, the
-    trajectory budget, and an optional persistent store.
+    trajectory budget, and an optional persistent store: remember
+    writes each certificate's one file there, and recall loads a file
+    (re-verified by the store) when the cache misses.
     """
 
     def __init__(
@@ -772,6 +717,29 @@ def s_certificate_for_rational(
         return cert
     parts = [(cert, 1), (w_certificate_for_integer(x.denominator, context), 1)]
     return _verified(certificate_product(Side.S, parts), f"rational certificate for {x}")
+
+
+def w_certificate_for_rational(
+    x: Fraction, context: Optional[WildContext] = None
+) -> Certificate:
+    """W-certificate for a/b in lowest terms, refusing 3 | a constructively.
+
+    A non-integer target is the mirror of an S-certificate for b/a,
+    which exists iff 3 does not divide a.
+    """
+    if context is None:
+        context = WildContext()
+    x = Fraction(x)
+    if x <= 0:
+        raise ValueError(f"w_certificate_for_rational wants a positive rational, got {x}")
+    if x.denominator == 1:
+        return w_certificate_for_integer(x.numerator, context)
+    if x.numerator % 3 == 0:
+        raise NotInSemigroupError(
+            f"numerator {x.numerator} is divisible by 3; {x} is not in the wild semigroup"
+        )
+    mirror = certificate_product(Side.W, [(s_certificate_for_rational(1 / x, context), 1)])
+    return _verified(mirror, f"mirrored certificate for {format_rational(x)}")
 
 
 # --------------------------------------------------------------------------
@@ -967,6 +935,11 @@ def _descend_int(n: int, v: int, steps: int, floor: int) -> tuple[int, int]:
     return v, steps
 
 
+def _check_reach_bound(bound: int) -> None:
+    if not 1 <= bound <= SIEVE_LIMIT_MAX:
+        raise ValueError(f"reach bound must be in 1..{SIEVE_LIMIT_MAX}, got {bound}")
+
+
 def reach_one_range(bound: int) -> ReachOneStats:
     """Confirm every 1 <= n <= bound reaches 1 under T, with step counts.
 
@@ -990,8 +963,7 @@ def reach_one_range(bound: int) -> ReachOneStats:
     """
     import numpy as np
 
-    if not 1 <= bound <= SIEVE_LIMIT_MAX:
-        raise ValueError(f"reach bound must be in 1..{SIEVE_LIMIT_MAX}, got {bound}")
+    _check_reach_bound(bound)
     # row w of _JUMP holds (3^k, c) with T^w(x) = (3^k*x + c)/2^w on x = u
     # mod 2^w, so T^w(2^w*q + u) = 3^k*q + (3^k*u + c)/2^w
     jumps = [
@@ -1087,6 +1059,14 @@ def induction_driver(
     """
     if k_max < 12:
         raise ValueError(f"induction starts at k = 12, got k_max = {k_max}")
+    # both bounds are refused before the sweep runs, the reach bound first;
+    # hypothesis 3 takes its primes from one sieve up to (2^k_max - 1)/189,
+    # which SIEVE_LIMIT_MAX caps at k_max = 38
+    reach_bound = min((1 << k_max) - 2, trajectory_bound)
+    _check_reach_bound(reach_bound)
+    m_limit = ((1 << k_max) - 1) // 189
+    if m_limit > SIEVE_LIMIT_MAX:
+        raise ValueError(f"induction runs to k_max = 38 at most, got k_max = {k_max}")
     if context is None:
         context = WildContext(trajectory_budget=max(trajectory_bound, 1 << 14))
     lines: list[InductionLine] = []
@@ -1105,13 +1085,7 @@ def induction_driver(
     else:
         comparison = f"{format_rational(worst)}<{format_rational(ONESTEP_BOUND)}"
 
-    reach_bound = min((1 << k_max) - 2, trajectory_bound)
     reach = reach_one_range(reach_bound)
-    # hypothesis 3 takes its primes from one sieve up to (2^k_max - 1)/189,
-    # which SIEVE_LIMIT_MAX caps at k_max = 38
-    m_limit = ((1 << k_max) - 1) // 189
-    if m_limit > SIEVE_LIMIT_MAX:
-        raise ValueError(f"induction runs to k_max = 38 at most, got k_max = {k_max}")
     flags = prime_flags(m_limit)
 
     def uncovered(p: int) -> bool:

@@ -20,7 +20,7 @@ from wildsemi.cli import EXIT_BUDGET, EXIT_MATH, EXIT_OK, EXIT_USAGE, main
 from wildsemi.residue import dump_coverage, load_builtin_coverage
 from wildsemi.wildprove import VerificationError
 
-from reference_store import reference_index
+from reference_store import listed_index, reference_index
 
 
 def run(capsys, *argv):
@@ -77,6 +77,11 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
         assert "cannot read" in err
 
+    def test_empty_directory_lists_nothing(self, capsys, tmp_path):
+        assert run(capsys, "verify", str(tmp_path)) == (EXIT_OK, "entries=0\nstatus=pass\n", "")
+        (tmp_path / "notes.txt").write_text("only *.cert files are listed\n")
+        assert run(capsys, "verify", str(tmp_path)) == (EXIT_OK, "entries=0\nstatus=pass\n", "")
+
 
 class TestProveCommand:
     def test_default_output_path(self, capsys, tmp_path, monkeypatch):
@@ -122,7 +127,7 @@ class TestProveCommand:
         def broken(m, context):
             raise VerificationError(f"forced failure for {m}")
 
-        monkeypatch.setattr(cli, "w_certificate_for_integer", broken)
+        monkeypatch.setattr(wildprove, "w_certificate_for_integer", broken)
         code, out, err = run(capsys, "prove", "w", "13", "--out", str(tmp_path / "x"))
         assert code == EXIT_MATH
         assert kv(out)["status"] == "fail"
@@ -151,54 +156,64 @@ class TestProveCommand:
         )
         assert code == EXIT_OK
         assert (store / "w-13.cert").exists()
-        assert (store / "store.idx").exists()
+        assert all(p.name.endswith(".cert") for p in store.iterdir())  # no index or temporary file
         code, _, _ = run(
             capsys, "prove", "w", "26", "--store", str(store), "--out", str(tmp_path / "b")
         )
         assert code == EXIT_OK
+        code, out, _ = run(capsys, "verify", str(store))
+        assert code == EXIT_OK and listed_index(out) == reference_index(store)
+        assert "entry=w-13.cert 13/1 pass\n" in out
 
     @pytest.mark.parametrize("content", [b"garbage\n", b"\xff\xfe\n"], ids=["text", "bytes"])
     def test_unparseable_store_file_is_rebuilt(self, capsys, tmp_path, content):
         store = tmp_path / "cache"
         store.mkdir()
         (store / "w-13.cert").write_bytes(content)
+        code, out, _ = run(capsys, "verify", str(store))
+        assert (code, out) == (EXIT_MATH, "entry=w-13.cert ? unparseable\nentries=1\nstatus=fail\n")
         code, _, err = run(capsys, "prove", "w", "26", "--store", str(store), "--out", str(tmp_path / "b"))
         assert (code, err) == (EXIT_OK, "")
         code, out, _ = run(capsys, "verify", str(store / "w-13.cert"))
         assert code == EXIT_OK and kv(out)["target"] == "13/1"
-        idx = (store / "store.idx").read_text()
-        assert "w-13.cert 13/1 pass\n" in idx and idx == reference_index(store)
+        code, out, _ = run(capsys, "verify", str(store))
+        assert code == EXIT_OK and listed_index(out) == reference_index(store)
+        assert "entry=w-13.cert 13/1 pass\n" in out
 
     def test_store_index_across_processes(self, tmp_path):
-        # separate interpreters, one under -O, each a fresh store; a
-        # mismatched file planted after an index, with a newer mtime,
-        # must be re-read by the next process
+        # separate interpreters, some under -O, each a fresh store; a
+        # mismatched file planted between runs, with its mtime set back
+        # before the last put, is listed and reloaded by its content
         store = tmp_path / "cache"
         src = str(Path(wildsemi.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
+        def wildsemi_run(*argv):
+            return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+
         def prove(m, *flags):
-            argv = [sys.executable, *flags, "-m", "wildsemi", "prove", "w", str(m), "--store", str(store)]
-            argv += ["--out", str(tmp_path / f"{m}.cert")]
-            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+            done = wildsemi_run(*flags, "-m", "wildsemi", "prove", "w", str(m), "--store", str(store),
+                                "--out", str(tmp_path / f"{m}.cert"))
             assert done.returncode == 0, done.stderr
-            return (store / "store.idx").read_text()
+            listed = wildsemi_run("-O", "-m", "wildsemi", "verify", str(store))
+            assert listed.stderr == ""
+            return listed.returncode, listed_index(listed.stdout)
 
         def plant(m, wrong):
             good = wildprove.w_certificate_for_integer(m)
             path = store / f"w-{m}.cert"
             path.write_text(serialize_certificate(Certificate(good.side, Fraction(wrong), good.factors)))
-            stamp = (store / "store.idx").stat().st_mtime_ns + 10**9
+            stamp = max(p.stat().st_mtime_ns for p in store.glob("*.cert")) - 10**9
             os.utime(path, ns=(stamp, stamp))
 
-        assert prove(13) == reference_index(store)
+        assert prove(13) == (EXIT_OK, reference_index(store))
         plant(13, 15)
-        idx = prove(20, "-O")  # 20 = 4 * 5 does not load 13
-        assert idx == reference_index(store)
+        code, idx = prove(20, "-O")  # 20 = 4 * 5 does not load 13
+        assert (code, idx) == (EXIT_MATH, reference_index(store))
         assert "w-13.cert 15/1 mismatch\n" in idx
         plant(20, 21)
-        idx = prove(26)  # loads 13, refuses it and rebuilds it
-        assert idx == reference_index(store)
+        code, idx = prove(26)  # loads 13, refuses it and rebuilds it
+        assert (code, idx) == (EXIT_MATH, reference_index(store))
         assert "w-13.cert 13/1 pass\n" in idx and "w-20.cert 21/1 mismatch\n" in idx
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", "2/0", "0/2"])

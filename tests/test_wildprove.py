@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import math
 import os
@@ -15,12 +17,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wildsemi
+from wildsemi import cli
 from wildsemi.certify import (
     Certificate,
     Side,
     serialize_certificate,
     verify_certificate,
 )
+from wildsemi.cli import EXIT_MATH, EXIT_OK
 from wildsemi.core import t_iterate
 from wildsemi.residue import replay_steps
 from wildsemi.wildprove import (
@@ -57,9 +61,10 @@ from wildsemi.wildprove import (
     smooth_residues,
     w_certificate_for_integer,
     w_certificate_for_prime,
+    w_certificate_for_rational,
 )
 from reference_chain import certificate_power, identity_certificate, invert_certificate, multiply_certificates
-from reference_store import reference_index
+from reference_store import listed_index, reference_index
 
 
 def brute_primes(limit):
@@ -111,18 +116,12 @@ def run_optimized(script):
     return done.stdout
 
 
-def count_parses(monkeypatch):
-    """The texts CertStore parses from now on, in order."""
-    parse = wildsemi.wildprove.parse_certificate
-    parsed = []
-    monkeypatch.setattr(wildsemi.wildprove, "parse_certificate", lambda text: parsed.append(text) or parse(text))
-    return parsed
-
-
-def backdate(path, index):
-    """Set path's mtime one second before the index's."""
-    stamp = index.stat().st_mtime_ns - 10**9
-    os.utime(path, ns=(stamp, stamp))
+def listing(root):
+    """`wildsemi verify root`, in process: its exit code and the lines it lists."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", str(root)])
+    return code, listed_index(out.getvalue())
 
 
 def chain_integer_certificate(m, context):
@@ -603,6 +602,25 @@ class TestSCertificates:
         with pytest.raises(ValueError):
             s_certificate_for_rational(Fraction(-2, 7))
 
+    def test_w_rational(self):
+        ctx = WildContext()
+        assert w_certificate_for_rational(Fraction(14), ctx) == w_certificate_for_integer(14, ctx)
+        cert = w_certificate_for_rational(Fraction(5, 9), ctx)
+        assert (cert.side, cert.target) == (Side.W, Fraction(5, 9))
+        assert verify_certificate(cert).ok
+        # the mirror of the S-certificate for 9/5
+        assert cert.factors == s_certificate_for_rational(Fraction(9, 5), ctx).factors
+
+    def test_w_rational_refusals(self):
+        with pytest.raises(NotInSemigroupError, match="^numerator 3 is divisible by 3; 3/5 is not in the wild semigroup$"):
+            w_certificate_for_rational(Fraction(3, 5))
+        for x in (Fraction(3), Fraction(9, 2)):
+            with pytest.raises(NotInSemigroupError):
+                w_certificate_for_rational(x)
+        for x in (Fraction(0), Fraction(-5, 2)):
+            with pytest.raises(ValueError, match="positive"):
+                w_certificate_for_rational(x)
+
 
 class TestWCertificates:
     def test_thirteen(self):
@@ -761,8 +779,8 @@ class TestCertStore:
         path = store.put(cert)
         assert path.name == "w-13.cert"
         assert store.get(Side.W, Fraction(13)) == cert
-        idx = (tmp_path / "certs" / "store.idx").read_text()
-        assert "w-13.cert 13/1 pass" in idx
+        assert [p.name for p in (tmp_path / "certs").iterdir()] == ["w-13.cert"]
+        assert listing(tmp_path / "certs") == (0, "w-13.cert 13/1 pass\n")
 
     def test_rational_s_filenames(self, tmp_path):
         store = CertStore(tmp_path)
@@ -794,121 +812,84 @@ class TestCertStore:
         assert second.recall(13) == cert
 
     def test_index_matches_the_reference_after_every_put(self, tmp_path):
+        # the index is the listing of `verify DIR`, derived from the files
         ctx = WildContext()
         good = w_certificate_for_integer(14, ctx)
         # planted before the store opens: a file whose product misses its
-        # target, and one that does not parse
+        # target, one that does not parse and one that does not decode
         (tmp_path / "w-14.cert").write_text(serialize_certificate(Certificate(Side.W, Fraction(15), good.factors)))
         (tmp_path / "w-19.cert").write_text("not a certificate\n")
+        (tmp_path / "w-25.cert").write_bytes(b"\xff\xfe\n")
         store, other = CertStore(tmp_path), CertStore(tmp_path)
         for m in (13, 17, 20, 23):
             store.put(w_certificate_for_integer(m, ctx))
             other.put(w_certificate_for_integer(m + 30, ctx))  # a file added behind the store's back
-            idx = (tmp_path / "store.idx").read_text()
-            assert idx == reference_index(tmp_path)
-            assert sorted(p.name for p in tmp_path.iterdir() if not p.name.endswith(".cert")) == ["store.idx"]
-        assert "w-14.cert 15/1 mismatch\n" in idx and "w-19.cert ? unparseable\n" in idx
-        (tmp_path / "w-53.cert").unlink()
+            code, idx = listing(tmp_path)
+            assert (code, idx) == (EXIT_MATH, reference_index(tmp_path))
+            assert all(p.name.endswith(".cert") for p in tmp_path.iterdir())
+        assert "w-14.cert 15/1 mismatch\n" in idx
+        assert "w-19.cert ? unparseable\n" in idx and "w-25.cert ? unparseable\n" in idx
+        for name in ("w-53.cert", "w-19.cert", "w-25.cert"):
+            (tmp_path / name).unlink()
         store.put(good)  # overwrites the tampered file
-        idx = (tmp_path / "store.idx").read_text()
-        assert idx == reference_index(tmp_path)
+        code, idx = listing(tmp_path)
+        assert (code, idx) == (EXIT_OK, reference_index(tmp_path))
         assert "w-14.cert 14/1 pass\n" in idx and "w-53.cert" not in idx
 
-    def test_puts_parse_each_file_once(self, tmp_path, monkeypatch):
+    def test_put_scans_no_directory_and_parses_no_file(self, tmp_path, monkeypatch):
         ctx = WildContext()
         certs = [w_certificate_for_integer(m, ctx) for m in range(1000, 1090) if m % 3]
         existing, new = certs[:40], certs[40:]
         for cert in existing:
             (tmp_path / f"w-{cert.target.numerator}.cert").write_text(serialize_certificate(cert))
-        parsed = count_parses(monkeypatch)
-        store = CertStore(tmp_path)
-        for cert in new:
-            path = store.put(cert)
-            # older than the index it was listed in, even where mtimes are coarse
-            backdate(path, tmp_path / "store.idx")
-        # one parse per existing file on the first put; each put takes its
-        # own file's line from the certificate in hand
-        assert len(parsed) == len(existing) == 40
-        assert (tmp_path / "store.idx").read_text() == reference_index(tmp_path)
-        for path in tmp_path.glob("*.cert"):
-            backdate(path, tmp_path / "store.idx")
-        older = {path.read_text() for path in tmp_path.glob("*.cert")}
-        assert len(older) == 60
-        parsed.clear()
-        fresh = CertStore(tmp_path)
-        for m in (1091, 1093, 1094, 1096, 1097):
-            fresh.put(w_certificate_for_integer(m, ctx))
-            assert (tmp_path / "store.idx").read_text() == reference_index(tmp_path)
-        # a fresh store trusts the lines of files older than the index
-        assert older.isdisjoint(parsed)
 
-    @pytest.mark.parametrize("offset", [0, 1], ids=["tied", "newer"])
-    def test_in_place_rewrite_at_or_after_the_index_is_re_read(self, tmp_path, monkeypatch, offset):
+        def refuse(*args):
+            raise AssertionError("a put lists a directory or parses a file")
+
+        with monkeypatch.context() as patch:
+            for name in ("scandir", "listdir"):
+                patch.setattr(os, name, refuse)
+            patch.setattr(wildsemi.wildprove, "parse_certificate", refuse)
+            store = CertStore(tmp_path)
+            paths = [store.put(cert) for cert in new]
+        # each put wrote exactly its own file, and nothing else
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"w-{c.target.numerator}.cert" for c in certs)
+        assert [p.read_text() for p in paths] == [serialize_certificate(c) for c in new]
+        assert listing(tmp_path) == (EXIT_OK, reference_index(tmp_path))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["set_back", "tied", "newer"])
+    def test_listing_reads_each_file_whatever_its_mtime(self, tmp_path, offset):
+        # a rewrite whose mtime is set back before the last put, tied with
+        # it or newer is listed by its content
         ctx = WildContext()
         store = CertStore(tmp_path)
         for m in (13, 17, 20):
             store.put(w_certificate_for_integer(m, ctx))
-        index = tmp_path / "store.idx"
-        for path in tmp_path.glob("*.cert"):
-            backdate(path, index)
-        wrong = serialize_certificate(Certificate(Side.W, Fraction(15), w_certificate_for_integer(13, ctx).factors))
-        (tmp_path / "w-13.cert").write_text(wrong)
-        stamp = index.stat().st_mtime_ns + offset * 10**9
-        os.utime(tmp_path / "w-13.cert", ns=(stamp, stamp))
-        parsed = count_parses(monkeypatch)
-        CertStore(tmp_path).put(w_certificate_for_integer(23, ctx))
-        idx = index.read_text()
-        assert idx == reference_index(tmp_path)
-        assert "w-13.cert 15/1 mismatch\n" in idx
-        assert parsed == [wrong]  # the other files keep their lines
-
-    def test_rewrite_set_back_before_the_index_keeps_its_line(self, tmp_path):
-        # the documented limit: the rule reads mtimes, not contents
-        ctx = WildContext()
-        store = CertStore(tmp_path)
-        store.put(w_certificate_for_integer(13, ctx))
-        index = tmp_path / "store.idx"
         wrong = Certificate(Side.W, Fraction(15), w_certificate_for_integer(13, ctx).factors)
         (tmp_path / "w-13.cert").write_text(serialize_certificate(wrong))
-        backdate(tmp_path / "w-13.cert", index)
-        store.put(w_certificate_for_integer(17, ctx))
-        assert "w-13.cert 13/1 pass\n" in index.read_text()
-        index.unlink()  # the way to force a full re-read
-        store.put(w_certificate_for_integer(20, ctx))
-        assert index.read_text() == reference_index(tmp_path)
-        assert "w-13.cert 15/1 mismatch\n" in index.read_text()
+        last = store.put(w_certificate_for_integer(23, ctx))
+        stamp = last.stat().st_mtime_ns + offset * 10**9
+        os.utime(tmp_path / "w-13.cert", ns=(stamp, stamp))
+        code, idx = listing(tmp_path)
+        assert (code, idx) == (EXIT_MATH, reference_index(tmp_path))
+        assert "w-13.cert 15/1 mismatch\n" in idx
+        assert store.get(Side.W, Fraction(13)) is None
 
-    def test_malformed_index_lines_are_re_derived(self, tmp_path, monkeypatch):
+    def test_leftover_index_is_ignored(self, tmp_path):
+        # a store.idx written by an earlier version: stale and malformed
+        # lines, never read, rewritten or deleted
         ctx = WildContext()
-        store = CertStore(tmp_path)
-        for m in (13, 17, 20, 22):
-            store.put(w_certificate_for_integer(m, ctx))
-        index = tmp_path / "store.idx"
-        lines = index.read_text().splitlines()
-        assert lines == ["w-13.cert 13/1 pass", "w-17.cert 17/1 pass", "w-20.cert 20/1 pass", "w-22.cert 22/1 pass"]
-        # a missing field, an unknown status, an extra field; w-22 is kept
-        lines[:3] = ["w-13.cert pass", "w-17.cert 17/1 ok", "w-20.cert 20/1 pass extra"]
-        index.write_text("\n".join(lines) + "\n")
-        for path in tmp_path.glob("*.cert"):
-            backdate(path, index)
-        parsed = count_parses(monkeypatch)
-        CertStore(tmp_path).put(w_certificate_for_integer(23, ctx))
-        assert index.read_text() == reference_index(tmp_path)
-        assert sorted(parsed) == sorted((tmp_path / f"w-{m}.cert").read_text() for m in (13, 17, 20))
-
-    def test_deleted_index_re_reads_every_file(self, tmp_path, monkeypatch):
-        ctx = WildContext()
+        leftover = "w-13.cert 13/1 pass\nw-99.cert 99/1 pass\nw-17.cert pass\n"
+        (tmp_path / "store.idx").write_text(leftover)
         store = CertStore(tmp_path)
         for m in (13, 17, 20):
             store.put(w_certificate_for_integer(m, ctx))
-        index = tmp_path / "store.idx"
-        for path in tmp_path.glob("*.cert"):
-            backdate(path, index)
-        index.unlink()
-        parsed = count_parses(monkeypatch)
-        CertStore(tmp_path).put(w_certificate_for_integer(23, ctx))
-        assert index.read_text() == reference_index(tmp_path)
-        assert sorted(parsed) == sorted((tmp_path / f"w-{m}.cert").read_text() for m in (13, 17, 20))
+        (tmp_path / "w-13.cert").write_text("not a certificate\n")
+        assert (tmp_path / "store.idx").read_text() == leftover
+        code, idx = listing(tmp_path)
+        assert (code, idx) == (EXIT_MATH, reference_index(tmp_path))
+        assert "w-13.cert ? unparseable\n" in idx and "w-99" not in idx and "store.idx" not in idx
+        assert store.get(Side.W, Fraction(13)) is None
 
 
 class TestLift:
@@ -1118,6 +1099,17 @@ class TestInduction:
     def test_starts_at_twelve(self):
         with pytest.raises(ValueError):
             induction_driver(11)
+
+    def test_unreachable_bounds_are_refused_before_the_sweep(self, monkeypatch):
+        def sweep(bound):
+            raise AssertionError(f"swept to {bound}")
+
+        monkeypatch.setattr(wildsemi.wildprove, "reach_one_range", sweep)
+        with pytest.raises(ValueError, match="^induction runs to k_max = 38 at most, got k_max = 39$"):
+            induction_driver(39, trajectory_bound=1000)
+        # the reach bound is checked first
+        with pytest.raises(ValueError, match=f"^reach bound must be in 1..{SIEVE_LIMIT_MAX}, got {2**31}$"):
+            induction_driver(40, trajectory_bound=2**31)
 
     def test_base_case(self):
         report = induction_driver(12)
