@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_pi_check)
 
     p = sub.add_parser("induct", help="run the mutual induction for 12 <= k <= k_max")
-    p.add_argument("k_max", type=int, help="last level, 12..38 (hypothesis 3 sieves up to (2^k_max - 1)/189)")
+    p.add_argument("k_max", type=int, help="last level, 12..35 (hypothesis 3 sieves below 6 (2^k_max - 1)/189 + 6)")
     p.add_argument(
         "--traj-bound", type=_positive_int, default=DEFAULT_TRAJECTORY_BOUND, help="cap for the reach-one sweep"
     )

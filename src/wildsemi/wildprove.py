@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -39,8 +40,9 @@ from .certify import (
 from .core import DEFAULT_TRAJECTORY_BUDGET, format_rational, t_iterate, trajectory_to_one
 from .residue import _JUMP, CoverageTable, load_builtin_coverage, replay_steps, verify_coverage_table
 
-# numpy is imported inside the sieves and the reach sweep, the only code
-# that builds arrays, so prove, verify, coverage and search never load it
+# numpy is imported inside the sieves, the reach sweep and the witness
+# columns, the only code that builds arrays, so prove, verify, coverage
+# and search never load it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -261,6 +263,10 @@ def smooth_factorization(n: int, q: int) -> Optional[dict[int, int]]:
 # --------------------------------------------------------------------------
 
 
+# a in 1..8 with a*q = -1 mod 9, by q mod 9 (0 where 3 divides q)
+A_BY_Q_MOD_9 = tuple(next((a for a in range(1, 9) if a * x % 9 == 8), 0) for x in range(9))
+
+
 def compute_a_r(q: int) -> tuple[int, int]:
     """The canonical residues of the construction for a prime q, 3 not dividing q.
 
@@ -271,7 +277,7 @@ def compute_a_r(q: int) -> tuple[int, int]:
         raise ValueError(f"q must not be divisible by 3, got {q}")
     if not is_prime_int(q):
         raise ValueError(f"q must be prime, got {q}")
-    a = next(a for a in range(1, 9) if (a * q) % 9 == 8)
+    a = A_BY_Q_MOD_9[q % 9]
     r, rem = divmod(2 * a * q - 1, 3)
     if rem != 0 or r % 6 != 5 or math.gcd(r, 6 * q) != 1:
         raise VerificationError(f"r = {r} is not (2aq-1)/3, 5 mod 6, prime to 6q for q = {q}")
@@ -475,6 +481,130 @@ def find_smooth_pair(q: int) -> SmoothWitness:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class WitnessRows:
+    """The smooth witnesses of many primes as int64 columns, q ascending.
+
+    Row i holds q[i], s1[i], s2[i] and n[i]; s1[i] = 0 marks a prime the
+    search left unresolved.  The prime factors of s1[i]*s2[i], ascending
+    and with repeats, are primes[offsets[i]:offsets[i + 1]].  Nothing in
+    a row is trusted: the driver checks the columns, and witness(i)
+    builds the SmoothWitness, which checks itself.
+    """
+
+    q: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    n: np.ndarray
+    offsets: np.ndarray
+    primes: np.ndarray
+
+    def witness(self, i: int) -> SmoothWitness:
+        q, s1, s2 = int(self.q[i]), int(self.s1[i]), int(self.s2[i])
+        a, r = compute_a_r(q)
+        factors = tuple(sorted(Counter(self.primes[self.offsets[i] : self.offsets[i + 1]].tolist()).items()))
+        k = (s1 * s2 - r) // (6 * q)
+        return SmoothWitness(q=q, a=a, r=r, s1=s1, s2=s2, k=k, n=int(self.n[i]), factors=factors)
+
+
+def _gpf_of(s: np.ndarray, unit_gpf: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """gpf(s) for units s mod 6 below the bound of unit_gpf = _unit_gpf(m), read from its class arrays."""
+    import numpy as np
+
+    gpf1, gpf5 = unit_gpf
+    i = s // 6
+    return np.where(s % 6 == 1, gpf1[i], gpf5[i])
+
+
+def smooth_pair_rows(qs: np.ndarray, unit_gpf: tuple[np.ndarray, np.ndarray]) -> WitnessRows:
+    """find_smooth_pair for every prime of qs at once (ascending, each 6q below the bound of unit_gpf).
+
+    s1 walks the units 1, 5, 7, 11, ... in lockstep over the primes still
+    unresolved.  For a q-smooth s1, s1^-1 mod 6q = (1 + 6q*t)/s1 with
+    t = -(6q)^-1 mod s1, read off a table of size s1 at q mod s1, and
+    s2 = r*s1^-1 mod 6q.  A prime takes the first s1 whose s2 is q-smooth
+    too, as find_smooth_pair does, so each row is its witness.  s1 and
+    s2 are factored by peeling greatest prime factors.
+    """
+    import numpy as np
+
+    q = np.asarray(qs, dtype=np.int64)
+    mod = 6 * q
+    a = np.array(A_BY_Q_MOD_9, dtype=np.int64)[q % 9]
+    r = (2 * a * q - 1) // 3
+    s1, s2 = np.zeros_like(q), np.zeros_like(q)
+    todo = np.arange(q.size)
+    c, step = 1, 4
+    while (todo := todo[mod[todo] > c]).size:
+        smooth = todo[q[todo] > _gpf_of(np.array([c]), unit_gpf)[0]]
+        if smooth.size:
+            # 6x is invertible mod c for every x = q mod c left: a prime
+            # factor of c that divided q would be q itself, not below q
+            t = np.array([-pow(6 * x, -1, c) % c if math.gcd(x, c) == 1 else 0 for x in range(c)], dtype=np.int64)
+            qc, mc = q[smooth], mod[smooth]
+            partner = r[smooth] * ((1 + mc * t[qc % c]) // c) % mc
+            hit = _gpf_of(partner, unit_gpf) < qc
+            s1[smooth[hit]], s2[smooth[hit]] = c, partner[hit]
+            todo = todo[s1[todo] == 0]
+        c += step
+        step = 6 - step
+    n = np.where(s1 > 0, 9 * ((s1 * s2 - r) // mod) + a, 0)
+    found = np.flatnonzero(s1)
+    row, left = np.concatenate((found, found)), np.concatenate((s1[found], s2[found]))
+    peeled_rows, peeled = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    while (live := left > 1).any():
+        row, left = row[live], left[live]
+        p = _gpf_of(left, unit_gpf).astype(np.int64)
+        peeled_rows.append(row)
+        peeled.append(p)
+        left = left // p
+    row, p = np.concatenate(peeled_rows), np.concatenate(peeled)
+    order = np.lexsort((p, row))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=q.size))))
+    return WitnessRows(q=q, s1=s1, s2=s2, n=n, offsets=offsets, primes=p[order])
+
+
+def _failed_rows(rows: WitnessRows, flags: np.ndarray) -> np.ndarray:
+    """failed[i] is False exactly when row i passes every check SmoothWitness makes.
+
+    The checks run over the int64 columns as plain comparisons, so they
+    hold under python -O.  Each listed factor p must be a prime below q
+    by the sieve flags (which reach every q) and divide what is left of
+    s1*s2, and nothing may be left at the end.  An unresolved row fails
+    (0 is no unit).
+    """
+    import numpy as np
+
+    q, s1, s2, n = rows.q, rows.s1, rows.s2, rows.n
+    # the largest product formed is n*q < 54q^2, after n < 54q is checked
+    if q.size and 54 * int(q.max()) ** 2 >= 2**63:
+        raise ValueError(f"witness columns need 54q^2 < 2^63, got q = {int(q.max())}")
+    mod = 6 * q
+    a = np.array(A_BY_Q_MOD_9, dtype=np.int64)[q % 9]
+    r = (2 * a * q - 1) // 3
+    failed = (a * q % 9 != 8) | (3 * r != 2 * a * q - 1) | (r % 6 != 5)
+    for s in (s1, s2):
+        failed |= (s <= 0) | (s >= mod) | (np.gcd(s, mod) != 1)
+    product = s1 * s2
+    k, rem = np.divmod(product - r, mod)
+    failed |= (rem != 0) | (k < 0) | (k >= mod) | (n != 9 * k + a) | (n >= 54 * q)
+    l, rem = np.divmod(n * q - 2, 3)
+    failed |= (rem != 0) | (2 * l + 1 != product)
+    left, at, end = product.copy(), rows.offsets[:-1].copy(), rows.offsets[1:]
+    live = np.flatnonzero(at < end)
+    while live.size:
+        p = rows.primes[at[live]]
+        fits = (p > 1) & (p < q[live])
+        fits[fits] = flags[p[fits]]
+        fits[fits] = left[live[fits]] % p[fits] == 0
+        failed[live[~fits]] = True
+        live, p = live[fits], p[fits]
+        left[live] //= p
+        at[live] += 1
+        live = live[at[live] < end[live]]
+    return failed | (left != 1)
+
+
 # --------------------------------------------------------------------------
 # Certificate stores and the shared construction context.
 # --------------------------------------------------------------------------
@@ -538,11 +668,12 @@ class WildContext:
     Holds verified W-certificates keyed by integer target (seeded with
     2, 5, 7, 11 only, verified here; the other built-ins are
     reconstructed, not assumed), verified trajectory S-certificates
-    keyed by integer, the smooth witness of each prime one was found
-    for (with the factorization of its s1*s2), the coverage table, the
-    trajectory budget, and an optional persistent store: remember
-    writes each certificate's one file there, and recall loads a file
-    (re-verified by the store) when the cache misses.
+    keyed by integer, the witness rows the induction driver found, the
+    smooth witness of each prime one was asked for (with the
+    factorization of its s1*s2), the coverage table, the trajectory
+    budget, and an optional persistent store: remember writes each
+    certificate's one file there, and recall loads a file (re-verified
+    by the store) when the cache misses.
     """
 
     def __init__(
@@ -560,6 +691,7 @@ class WildContext:
         for seed in (5, 7, 11):
             self.certificates[seed] = _verified(base_certificate(seed), f"seed certificate for {seed}")
         self.s_certificates: dict[int, Certificate] = {}
+        self.rows: list[WitnessRows] = []
         self.records: dict[int, SmoothWitness] = {}
 
     @property
@@ -577,15 +709,40 @@ class WildContext:
         return cert
 
     def witness_record(self, q: int) -> SmoothWitness:
-        """The smooth witness of the prime q, found once per context.
+        """The smooth witness of the prime q, built once per context.
 
-        The witness carries the factorization of its s1*s2 and checked
-        it, and the identity q = (1/n) g(l) s1 s2, when it was built.
+        It comes from a kept row when one resolved q, else from
+        find_smooth_pair.  The witness carries the factorization of its
+        s1*s2 and checked it, and the identity q = (1/n) g(l) s1 s2,
+        when it was built.
         """
         witness = self.records.get(q)
         if witness is None:
-            witness = self.records[q] = find_smooth_pair(q)
+            for rows in self.rows:
+                i = int(rows.q.searchsorted(q))
+                if i < rows.q.size and rows.q[i] == q and rows.s1[i]:
+                    witness = rows.witness(i)
+                    break
+            else:
+                witness = find_smooth_pair(q)
+            self.records[q] = witness
         return witness
+
+    def keep_rows(self, rows: WitnessRows) -> None:
+        """Keep a level's witness rows; witness_record builds a witness from one on demand."""
+        self.rows.append(rows)
+
+    def holds(self, qs: np.ndarray) -> np.ndarray:
+        """held[i] is True when the context keeps a row or a record for the prime qs[i]."""
+        import numpy as np
+
+        qs = np.asarray(qs, dtype=np.int64)
+        held = np.isin(qs, np.fromiter(self.records, dtype=np.int64, count=len(self.records)))
+        for rows in self.rows:
+            if rows.q.size:
+                at = np.searchsorted(rows.q, qs).clip(max=rows.q.size - 1)
+                held |= rows.q[at] == qs
+        return held
 
     def remember(self, m: int, cert: Certificate) -> None:
         self.certificates[m] = cert
@@ -1030,6 +1187,51 @@ class InductionReport:
         return "\n".join(line.render() for line in self.lines)
 
 
+def _first_unfit_row(
+    rows: WitnessRows, failed: np.ndarray, gaps: list[int], context: WildContext
+) -> Optional[tuple[int, str]]:
+    """(q, reason) for the first row, in ascending q, that hypothesis 3 refuses; None if none.
+
+    A row is refused when it failed a column check, when its n gets no
+    trajectory certificate (each distinct n is asked once), or when a
+    prime factor of s1*s2 is uncovered: a gap, or a prime whose own row
+    failed.  Every other prime below q is covered, by a certificate or a
+    row checked at its level.  Checks come in SmoothWitness order, so a
+    failed row is named by the witness built from it, or by
+    find_smooth_pair where the search left it unresolved.
+    """
+    import numpy as np
+
+    factor_row = np.repeat(np.arange(rows.q.size), np.diff(rows.offsets))
+    uncovered = np.isin(rows.primes, gaps + rows.q[failed].tolist())
+    unfit = failed.copy()
+    unfit[factor_row[uncovered]] = True
+    s_failure = None
+    valid = np.flatnonzero(~failed)
+    for i in np.sort(valid[np.unique(rows.n[valid], return_index=True)[1]]).tolist():
+        try:
+            context.s_certificate(int(rows.n[i]))
+        except (ValueError, BudgetExhaustedError, VerificationError) as exc:
+            s_failure = (i, str(exc))
+            break
+    refused = np.flatnonzero(unfit)[:1].tolist() + ([s_failure[0]] if s_failure else [])
+    if not refused:
+        return None
+    i = min(refused)
+    q = int(rows.q[i])
+    if failed[i]:
+        try:
+            find_smooth_pair(q) if rows.s1[i] == 0 else rows.witness(i)
+        except (ValueError, SmoothPairExhaustionError, VerificationError) as exc:
+            return q, str(exc)
+        return q, "the witness columns fail a check that the scalar path passes"
+    if s_failure and s_failure[0] == i:
+        return q, s_failure[1]
+    own = slice(rows.offsets[i], rows.offsets[i + 1])
+    p = int(rows.primes[own][uncovered[own]].min())
+    return q, f"prime factor {p} of s1*s2 = {int(rows.s1[i]) * int(rows.s2[i])} has no verified certificate"
+
+
 def induction_driver(
     k_max: int,
     trajectory_bound: int = DEFAULT_TRAJECTORY_BOUND,
@@ -1042,31 +1244,37 @@ def induction_driver(
         for the strata -1 mod 2^t (t = k-1) above it;
     (2) every 1 <= n <= 2^k - 2 reaches 1 (capped by the trajectory
         bound), with spot-built certificates;
-    (3) every m <= (2^k - 1)/189 with 3 not dividing m is wild.  The
-        primes come from one sieve up to (2^k_max - 1)/189, so k_max
-        is at most 38.  In ascending order, a prime without a verified
-        certificate is checked by its witness record (the identity
-        q = (1/n) g(l) s1 s2, checked by SmoothWitness; n in S, by its
-        trajectory certificate; each prime factor of s1*s2 already
-        covered).  A composite is covered by closure, with no step of
-        its own: it fails only if a prime factor is a gap, a prime left
-        with neither a record nor a certificate, and the first such
-        composite is the least admissible multiple of a gap, named
-        unless a prime below it fails first.  No certificate is built
-        for a prime here; w_certificate_for_prime builds one from the
-        record on demand.
+    (3) every m <= (2^k - 1)/189 with 3 not dividing m is wild.  At the
+        start of each level, one column search (smooth_pair_rows) finds
+        the witnesses of the level's primes without a certificate, and
+        the context keeps the rows, so hypothesis 1 takes its
+        multipliers' witnesses from them.  The primes come from one
+        sieve up to (2^k_max - 1)/189 and the greatest prime factors
+        from one sieve below 6 (2^k_max - 1)/189 + 6, so k_max is at
+        most 35.  Each row passes the checks of SmoothWitness over the
+        columns (_failed_rows), its n gets a trajectory certificate, and
+        each prime factor of s1*s2 must be covered.  The first row to
+        fail, in ascending q, is named through the scalar path: the
+        SmoothWitness built from it, or find_smooth_pair for a prime
+        the search left unresolved.  A composite is covered by closure,
+        with no step of its own: it fails only if a prime factor is a
+        gap, a checked prime left with neither a kept witness nor a
+        certificate, and the first such composite is the least
+        admissible multiple of a gap, named unless a prime below it
+        fails first.  No certificate is built for a prime here;
+        w_certificate_for_prime builds one from the rows on demand.
     Any failure aborts with the offending k, hypothesis and witness.
     """
     if k_max < 12:
         raise ValueError(f"induction starts at k = 12, got k_max = {k_max}")
     # both bounds are refused before the sweep runs, the reach bound first;
-    # hypothesis 3 takes its primes from one sieve up to (2^k_max - 1)/189,
-    # which SIEVE_LIMIT_MAX caps at k_max = 38
+    # hypothesis 3 reads greatest prime factors from one sieve below
+    # 6 (m_limit + 1), which SIEVE_LIMIT_MAX caps at k_max = 35
     reach_bound = min((1 << k_max) - 2, trajectory_bound)
     _check_reach_bound(reach_bound)
     m_limit = ((1 << k_max) - 1) // 189
-    if m_limit > SIEVE_LIMIT_MAX:
-        raise ValueError(f"induction runs to k_max = 38 at most, got k_max = {k_max}")
+    if 6 * (m_limit + 1) - 1 > SIEVE_LIMIT_MAX:
+        raise ValueError(f"induction runs to k_max = 35 at most, got k_max = {k_max}")
     if context is None:
         context = WildContext(trajectory_budget=max(trajectory_bound, 1 << 14))
     lines: list[InductionLine] = []
@@ -1087,9 +1295,10 @@ def induction_driver(
 
     reach = reach_one_range(reach_bound)
     flags = prime_flags(m_limit)
+    unit_gpf = _unit_gpf(m_limit + 1)
 
     def uncovered(p: int) -> bool:
-        return p not in context.records and context.recall(p) is None
+        return context.recall(p) is None and not context.holds([p])[0]
 
     def close_composites(below: int) -> None:
         """Raise for the least composite in (m_done, below) prime to 3 with a prime factor in gaps."""
@@ -1104,6 +1313,11 @@ def induction_driver(
     m_done = 1
     gaps: list[int] = []
     for k in range(12, k_max + 1):
+        # the level's witnesses, kept before hypothesis 1 needs any
+        m_bound = ((1 << k) - 1) // 189
+        level = (flags[m_done + 1 : m_bound + 1].nonzero()[0] + (m_done + 1)).tolist()
+        rows = smooth_pair_rows([q for q in level if q != 3 and context.recall(q) is None], unit_gpf)
+        context.keep_rows(rows)
         # hypothesis 1
         if k == 12:
             lines.append(
@@ -1175,26 +1389,16 @@ def induction_driver(
                 ),
             )
         )
-        # hypothesis 3: the primes in ascending order, the composites by
-        # closure through the gaps (see the docstring)
-        m_bound = ((1 << k) - 1) // 189
+        # hypothesis 3: the rows in columns, the composites by closure
+        # through the gaps (see the docstring)
+        failed = _failed_rows(rows, flags)
         gaps = [p for p in gaps if uncovered(p)]  # hypothesis 1 may have covered some
-        for q in (flags[m_done + 1 : m_bound + 1].nonzero()[0] + (m_done + 1)).tolist():
-            if q == 3 or context.recall(q) is not None:
-                continue
-            try:
-                witness = context.witness_record(q)
-                context.s_certificate(witness.n)
-            except (ValueError, SmoothPairExhaustionError, BudgetExhaustedError, VerificationError) as exc:
-                close_composites(q)
-                raise InductionError(k, 3, q, str(exc)) from exc
-            for p, _ in witness.factors:
-                if uncovered(p):
-                    close_composites(q)
-                    product = f"s1*s2 = {witness.s1 * witness.s2}"
-                    raise InductionError(k, 3, q, f"prime factor {p} of {product} has no verified certificate")
-            if uncovered(q):
-                gaps.append(q)
+        gaps += [q for q in rows.q[~failed & ~context.holds(rows.q)].tolist() if context.recall(q) is None]
+        unfit = _first_unfit_row(rows, failed, gaps, context)
+        if unfit is not None:
+            q, reason = unfit
+            close_composites(q)
+            raise InductionError(k, 3, q, reason)
         close_composites(m_bound + 1)
         admissible = (m_bound - m_bound // 3) - (m_done - m_done // 3)  # 3 does not divide m
         m_done = max(m_done, m_bound)

@@ -471,10 +471,14 @@ class TestInductCommand:
         assert done.stderr.splitlines()[-1] == f"error: reach bound must be in 1..2147483647, got {reach}"
 
     def test_k_max_beyond_the_sieve_is_refused_before_allocating(self):
-        # hypothesis 3 sieves the primes up to (2^k_max - 1)/189 at once,
-        # which fits prime_flags up to k_max = 38; at 39 the refusal
-        # comes before the sieve, under the 1 GiB cap and under -O
-        assert (2**38 - 1) // 189 <= wildprove.SIEVE_LIMIT_MAX < (2**39 - 1) // 189
+        # hypothesis 3 sieves greatest prime factors below
+        # 6 ((2^k_max - 1)/189 + 1), which fits prime_flags up to
+        # k_max = 35; at 36 the refusal comes before any sieve, under the
+        # 1 GiB cap and under -O
+        def gpf_limit(k):
+            return 6 * ((2**k - 1) // 189 + 1) - 1
+
+        assert gpf_limit(35) <= wildprove.SIEVE_LIMIT_MAX < gpf_limit(36)
 
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
@@ -482,7 +486,7 @@ class TestInductCommand:
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run(
-            [sys.executable, "-O", "-m", "wildsemi", "induct", "39", "--traj-bound", "1000"],
+            [sys.executable, "-O", "-m", "wildsemi", "induct", "36", "--traj-bound", "1000"],
             env=env,
             capture_output=True,
             text=True,
@@ -491,7 +495,7 @@ class TestInductCommand:
         )
         assert done.returncode == EXIT_USAGE, done.stderr
         assert done.stdout == ""
-        assert done.stderr.splitlines()[-1] == "error: induction runs to k_max = 38 at most, got k_max = 39"
+        assert done.stderr.splitlines()[-1] == "error: induction runs to k_max = 35 at most, got k_max = 36"
 
     def test_stdout_to_k_24_is_pinned(self, capsys):
         # levels 23 and 24 are where hypothesis 3 covers the most m
@@ -560,7 +564,7 @@ class TestParsing:
 
 
 # tokens stay small: int() accepts "1_000", and `induct 30` runs for tens of seconds
-# (`induct` refuses a k_max above 38 at once)
+# (`induct` refuses a k_max above 35 at once)
 COMMANDS = ("verify", "prove", "coverage", "search", "smooth", "pi-check", "induct")
 FLAGS = (
     "--help",

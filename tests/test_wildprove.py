@@ -58,12 +58,14 @@ from wildsemi.wildprove import (
     smooth_counts_up_to,
     smooth_factorization,
     smooth_majority_range,
+    smooth_pair_rows,
     smooth_residues,
     w_certificate_for_integer,
     w_certificate_for_prime,
     w_certificate_for_rational,
 )
 from reference_chain import certificate_power, identity_certificate, invert_certificate, multiply_certificates
+from planted_rows import UNRESOLVED, planting
 from reference_store import listed_index, reference_index
 
 
@@ -102,9 +104,10 @@ CARMICHAEL = (561, 1105, 1729, 41041, 825265, 321197185, 1004612946644089, 10014
 
 
 def run_optimized(script):
-    """stdout of a script run under python -O with this checkout's package."""
+    """stdout of a script run under python -O with this checkout's package and test helpers."""
     src = str(Path(wildsemi.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-O", "-c", textwrap.dedent(script)],
         env=env,
@@ -164,6 +167,21 @@ def record_witnesses(monkeypatch):
     find = wildsemi.wildprove.find_smooth_pair
     monkeypatch.setattr(wildsemi.wildprove, "find_smooth_pair", lambda q: built.append(find(q)) or built[-1])
     return built
+
+
+def record_rows(monkeypatch):
+    """The witness rows the column search returns from here on, one WitnessRows per call."""
+    found = []
+    search = wildsemi.wildprove.smooth_pair_rows
+    monkeypatch.setattr(
+        wildsemi.wildprove, "smooth_pair_rows", lambda qs, unit_gpf: found.append(search(qs, unit_gpf)) or found[-1]
+    )
+    return found
+
+
+def forbid_scalar_search(monkeypatch):
+    """find_smooth_pair fails the test from here on."""
+    monkeypatch.setattr(wildsemi.wildprove, "find_smooth_pair", lambda q: pytest.fail(f"searched {q} one at a time"))
 
 
 def loop_reach_one(bound):
@@ -515,10 +533,12 @@ class TestSmoothPair:
 
     def test_tampered_factors_are_refused_under_optimize(self):
         # each tampered factorization is refused when the witness is
-        # built; one planted through find_smooth_pair stops hypothesis 3
+        # built; one planted in the driver's witness rows stops
+        # hypothesis 3 with the same message
         out = run_optimized(
             """
             import dataclasses, sys
+            from planted_rows import planting
             from wildsemi import wildprove
             from wildsemi.wildprove import InductionError, find_smooth_pair, induction_driver
 
@@ -536,13 +556,8 @@ class TestSmoothPair:
                 except ValueError as exc:
                     print(sys.flags.optimize, exc)
 
-            real = wildprove.find_smooth_pair
-
-            def planted(q):
-                witness = real(q)
-                return dataclasses.replace(witness, factors=((5, 1), (7, 1), (11, 1))) if q == 19 else witness
-
-            wildprove.find_smooth_pair = planted
+            # the row of 19 lists 5 once, not twice
+            wildprove.smooth_pair_rows = planting(wildprove.smooth_pair_rows, 19, primes=[5, 7, 11])
             try:
                 induction_driver(12)
             except InductionError as exc:
@@ -567,6 +582,68 @@ class TestSmoothPair:
         assert w.q == q and w.n < 54 * q
         assert (w.n * q) % 3 == 2 % 3
         assert 2 * w.l + 1 == w.s1 * w.s2
+
+
+def assert_rows_match(qs, m, monkeypatch):
+    """Each row of the column search, and the witness_record built from it, equals find_smooth_pair."""
+    expected = [find_smooth_pair(q) for q in qs]
+    rows = smooth_pair_rows(qs, wildsemi.wildprove._unit_gpf(m + 1))
+    assert rows.q.tolist() == qs
+    assert not wildsemi.wildprove._failed_rows(rows, prime_flags(m)).any()
+    context = WildContext()
+    context.keep_rows(rows)
+    forbid_scalar_search(monkeypatch)
+    for i, w in enumerate(expected):
+        assert (int(rows.s1[i]), int(rows.s2[i]), int(rows.n[i])) == (w.s1, w.s2, w.n), w.q
+        assert rows.witness(i) == context.witness_record(w.q) == w, w.q  # factors included
+
+
+class TestWitnessRows:
+    def test_every_prime_to_k_22_matches_the_scalar_search(self, monkeypatch):
+        m = (2**22 - 1) // 189
+        assert_rows_match([q for q in np.flatnonzero(prime_flags(m)).tolist() if q >= 13], m, monkeypatch)
+
+    def test_random_primes_at_k_26_match_the_scalar_search(self, rng, monkeypatch):
+        m = (2**26 - 1) // 189
+        primes = [q for q in np.flatnonzero(prime_flags(m)).tolist() if q >= 13]
+        assert_rows_match(sorted(rng.sample(primes, 500)), m, monkeypatch)
+
+    def test_no_primes_make_no_rows(self):
+        rows = smooth_pair_rows([], wildsemi.wildprove._unit_gpf(10))
+        assert rows.q.size == rows.primes.size == 0 and rows.offsets.tolist() == [0]
+
+    # the column checks refuse each planted row, and the SmoothWitness
+    # built from it names the fault
+    @pytest.mark.parametrize(
+        "k, q, changes, reason",
+        [
+            (12, 19, {"primes": [5, 7, 11]}, "factors multiply to 385, not s1*s2 = 1925"),
+            # 11 // 7 = 1: only the divisibility check sees this one
+            (12, 19, {"primes": [5, 5, 7, 7]}, "factors multiply to 1225, not s1*s2 = 1925"),
+            (14, 47, {"primes": [5, 25]}, "(25, 1) is not a prime in (5, 47) with an exponent in 1..6"),
+            # r = 17 itself: 1 * 17 = 6qk + r with k = 0, but 17 > 13
+            (
+                12,
+                13,
+                {"s1": 1, "s2": 17, "n": 2, "primes": [17]},
+                "(17, 1) is not a prime in (1, 13) with an exponent in 1..4",
+            ),
+            (12, 19, {"s1": 57}, "57 is not a unit below 6q for q = 19"),
+            # 13's own product 875 = 25 * 35, split as 1 * 875: every
+            # identity holds, but 875 is not below 6q
+            (12, 13, {"s1": 1, "s2": 875}, "875 is not a unit below 6q for q = 13"),
+            (13, 23, {"s2": 35, "primes": [5, 5, 7]}, "s1*s2 = 175 is not 6qk + r with 0 <= k < 6q"),
+            (12, 19, {"n": 161}, "n = 161 is not 9k + a < 54q"),
+            (12, 19, UNRESOLVED, "the witness columns fail a check that the scalar path passes"),
+        ],
+    )
+    def test_planted_rows_are_named_by_their_witness(self, monkeypatch, k, q, changes, reason):
+        planted = planting(wildsemi.wildprove.smooth_pair_rows, q, **changes)
+        monkeypatch.setattr(wildsemi.wildprove, "smooth_pair_rows", planted)
+        with pytest.raises(InductionError) as info:
+            induction_driver(14)
+        assert (info.value.k, info.value.hypothesis, info.value.witness) == (k, 3, q)
+        assert str(info.value) == f"k={k} hypothesis=3 witness={q}: {reason}"
 
 
 class TestSCertificates:
@@ -1105,8 +1182,8 @@ class TestInduction:
             raise AssertionError(f"swept to {bound}")
 
         monkeypatch.setattr(wildsemi.wildprove, "reach_one_range", sweep)
-        with pytest.raises(ValueError, match="^induction runs to k_max = 38 at most, got k_max = 39$"):
-            induction_driver(39, trajectory_bound=1000)
+        with pytest.raises(ValueError, match="^induction runs to k_max = 35 at most, got k_max = 36$"):
+            induction_driver(36, trajectory_bound=1000)
         # the reach bound is checked first
         with pytest.raises(ValueError, match=f"^reach bound must be in 1..{SIEVE_LIMIT_MAX}, got {2**31}$"):
             induction_driver(40, trajectory_bound=2**31)
@@ -1136,15 +1213,17 @@ class TestInduction:
             assert "=" in token  # line format stays machine-splittable
 
     def test_hypothesis_three_covers_every_admissible_m(self, monkeypatch):
+        found = record_rows(monkeypatch)
         ctx = WildContext()
         induction_driver(14, context=ctx)
         m_bound = (2**14 - 1) // 189
         admissible = [m for m in range(2, m_bound + 1) if m % 3 != 0]
         primes = [m for m in admissible if is_prime_int(m)]
-        # the driver found every witness: a prime's certificate is built
-        # from the witness the run checked, and each composite is a
-        # product of those primes
-        built = record_witnesses(monkeypatch)
+        # the column search found every witness past the seeds 2, 5, 7
+        # and 11: a prime's certificate is built from the row the run
+        # checked, and each composite is a product of those primes
+        assert [q for rows in found for q in rows.q.tolist()] == [p for p in primes if p >= 13]
+        forbid_scalar_search(monkeypatch)
         for p in primes:
             cert = w_certificate_for_prime(p, ctx)
             assert cert.target == p
@@ -1152,10 +1231,9 @@ class TestInduction:
         for m in sorted(set(admissible) - set(primes)):
             cert = w_certificate_for_integer(m, ctx)
             assert cert.target == m and verify_certificate(cert).ok
-        assert built == []
 
     def test_each_s_certificate_is_built_once(self, monkeypatch):
-        witnesses = record_witnesses(monkeypatch)
+        found = record_rows(monkeypatch)
         build = wildsemi.wildprove.s_certificate_for_integer
         built = []
         monkeypatch.setattr(
@@ -1164,8 +1242,8 @@ class TestInduction:
         ctx = WildContext(trajectory_budget=DEFAULT_TRAJECTORY_BOUND)
         induction_driver(14, context=ctx)
         assert len(built) == len(set(built)) == len(ctx.s_certificates)
-        witness_n = {w.n for w in witnesses}
-        assert witness_n <= set(built) and len(witness_n) < len(witnesses)
+        witness_n = [n for rows in found for n in rows.n.tolist()]
+        assert set(witness_n) <= set(built) and len(set(witness_n)) < len(witness_n)
         assert 27 in built  # a hypothesis-2 spot of every level
 
     def test_capped_sweep_is_reported_as_capped(self):
@@ -1176,12 +1254,16 @@ class TestInduction:
 
     def test_constructor_failures_name_k_hypothesis_and_witness_under_optimize(self):
         # the driver re-checks nothing; a constructor's VerificationError
-        # is what surfaces, as an InductionError
+        # is what surfaces, as an InductionError.  The search leaves 19
+        # unresolved, so the scalar search names it
         out = run_optimized(
             """
             import sys
+            from planted_rows import UNRESOLVED, planting
             from wildsemi import wildprove
             from wildsemi.wildprove import InductionError, VerificationError, induction_driver
+
+            wildprove.smooth_pair_rows = planting(wildprove.smooth_pair_rows, 19, **UNRESOLVED)
 
             def failing_at(real, bad):
                 def constructor(n, *args):
@@ -1205,7 +1287,7 @@ class TestInduction:
         assert sweep == "1 12 3 19 k=12 hypothesis=3 witness=19: certificate for 19 failed: planted"
 
     def test_closure_gap_names_the_missing_prime_under_optimize(self):
-        # a forgotten prime's witness checks out but is never kept.  No
+        # a forgotten prime's row checks out but is never kept.  No
         # other witness found up to k = 13 depends on 17, so 34 = 2 * 17
         # is the first composite whose closure check fails (13 would not
         # do: the lift multiplier 43 = (2^7 + 1)/3 of hypothesis 1 needs
@@ -1213,12 +1295,13 @@ class TestInduction:
         out = run_optimized(
             """
             import sys
+            from planted_rows import drop
             from wildsemi.wildprove import InductionError, WildContext, induction_driver
 
             for forgotten in (17, 23):
                 class Forgetful(WildContext):
-                    def witness_record(self, q):
-                        return (WildContext() if q == forgotten else super()).witness_record(q)
+                    def keep_rows(self, rows):
+                        super().keep_rows(drop(rows, {forgotten}))
 
                 try:
                     induction_driver(13, context=Forgetful())
@@ -1237,19 +1320,20 @@ class TestInduction:
         # multiple of a gap falls in.  41 is checked at k = 13 (m <= 43)
         # and no witness up to k = 14 rests on it, so 82 = 2 * 41 fails
         # at k = 14; 34 = 2 * 17 comes before 38 = 2 * 19.  A prime
-        # seeded with a certificate is covered and never asked for a
-        # record, so forgetting its record does nothing
+        # seeded with a certificate is covered and never searched, so
+        # forgetting its row does nothing
         out = run_optimized(
             """
             import sys
+            from planted_rows import drop
             from wildsemi.wildprove import InductionError, WildContext, induction_driver, w_certificate_for_prime
 
             asked = []
             for forgotten, seeded, k_max in (({17, 19}, (), 13), ({41}, (), 14), ({17, 41}, (17, 41), 14)):
                 class Forgetful(WildContext):
-                    def witness_record(self, q):
-                        asked.append(q)
-                        return (WildContext() if q in forgotten else super()).witness_record(q)
+                    def keep_rows(self, rows):
+                        asked.extend(rows.q.tolist())
+                        super().keep_rows(drop(rows, forgotten))
 
                 context = Forgetful()
                 for p in seeded:
@@ -1269,8 +1353,10 @@ class TestInduction:
         ]
 
     def test_hypothesis_three_factors_no_admissible_m(self, monkeypatch):
-        # only the smooth-pair scan factors, besides hypothesis 1's first
-        # use of each one-step multiplier; the driver factors no m
+        # only hypothesis 1's first use of each one-step multiplier
+        # factors: the column search peels s1 and s2 by the sieve, the
+        # multipliers' witnesses come from its rows, and the driver
+        # factors no m
         factorize = wildsemi.wildprove.factorize
         calls = []
 
@@ -1279,30 +1365,21 @@ class TestInduction:
             return factorize(n)
 
         monkeypatch.setattr(wildsemi.wildprove, "factorize", counted)
+        forbid_scalar_search(monkeypatch)
         induction_driver(18)
-        scanned = [n for caller, n in calls if caller == "smooth_factorization"]
-        assert len(scanned) > 500
-        assert [call for call in calls if call[0] != "smooth_factorization"] == [
-            ("w_certificate_for_integer", 43),
-            ("w_certificate_for_integer", 29),
-        ]
+        assert calls == [("w_certificate_for_integer", 43), ("w_certificate_for_integer", 29)]
 
     def test_wrong_witness_names_k_hypothesis_and_prime_under_optimize(self):
-        # the witness for 19 is handed back with n off by 9, so it fails
-        # its own identity check when it is built
+        # the row of 19 comes back with n = 152 + 9, so it fails the
+        # column checks and the witness built from it names the fault
         out = run_optimized(
             """
-            import dataclasses, sys
+            import sys
+            from planted_rows import planting
             from wildsemi import wildprove
             from wildsemi.wildprove import InductionError, induction_driver
 
-            real = wildprove.find_smooth_pair
-
-            def planted(q):
-                witness = real(q)
-                return dataclasses.replace(witness, n=witness.n + 9) if q == 19 else witness
-
-            wildprove.find_smooth_pair = planted
+            wildprove.smooth_pair_rows = planting(wildprove.smooth_pair_rows, 19, n=161)
             try:
                 induction_driver(12)
             except InductionError as exc:
@@ -1312,10 +1389,10 @@ class TestInduction:
         assert out.splitlines() == ["1 12 3 19 k=12 hypothesis=3 witness=19: n = 161 is not 9k + a < 54q"]
 
     def test_certificates_from_records_match_the_multiply_chain(self, monkeypatch):
-        built = record_witnesses(monkeypatch)
+        found = record_rows(monkeypatch)
         ctx = WildContext(trajectory_budget=DEFAULT_TRAJECTORY_BOUND)
         induction_driver(20, context=ctx)
-        recorded = sorted(w.q for w in built)
+        recorded = [q for rows in found for q in rows.q.tolist()]
         assert len(recorded) > 600
         for q in recorded:
             cert = w_certificate_for_prime(q, ctx)
