@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -486,45 +485,45 @@ class WitnessRows:
     """The smooth witnesses of many primes as int64 columns, q ascending.
 
     Row i holds q[i], s1[i], s2[i] and n[i]; s1[i] = 0 marks a prime the
-    search left unresolved.  The prime factors of s1[i]*s2[i], ascending
-    and with repeats, are primes[offsets[i]:offsets[i + 1]].  Nothing in
-    a row is trusted: the driver checks the columns, and witness(i)
-    builds the SmoothWitness, which checks itself.
+    search left unresolved.  Nothing in a row is trusted: the driver
+    checks the columns, and witness(i) factors s1*s2 and builds the
+    SmoothWitness, which checks itself.
     """
 
     q: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
     n: np.ndarray
-    offsets: np.ndarray
-    primes: np.ndarray
 
     def witness(self, i: int) -> SmoothWitness:
         q, s1, s2 = int(self.q[i]), int(self.s1[i]), int(self.s2[i])
         a, r = compute_a_r(q)
-        factors = tuple(sorted(Counter(self.primes[self.offsets[i] : self.offsets[i + 1]].tolist()).items()))
+        # factorize wants n >= 1; SmoothWitness refuses a smaller product first
+        factors = tuple(sorted(factorize(s1 * s2).items())) if s1 * s2 > 0 else ()
         k = (s1 * s2 - r) // (6 * q)
         return SmoothWitness(q=q, a=a, r=r, s1=s1, s2=s2, k=k, n=int(self.n[i]), factors=factors)
 
 
-def _gpf_of(s: np.ndarray, unit_gpf: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """gpf(s) for units s mod 6 below the bound of unit_gpf = _unit_gpf(m), read from its class arrays."""
-    import numpy as np
+def _smooth(s, q, flags: np.ndarray):
+    """Whether s is q-smooth, for a prime q >= 5 and a unit s < 6q prime to q, by the flags of prime_flags.
 
-    gpf1, gpf5 = unit_gpf
-    i = s // 6
-    return np.where(s % 6 == 1, gpf1[i], gpf5[i])
+    A prime factor p >= q of such an s is not q, so p > q, and s/p < 6
+    is a unit mod 6: s is p or 5p.  (So the units below 6q that are not
+    q-smooth number (pi(6q) - pi(q)) + (pi(6q/5) - pi(q)).)  Over a
+    multiple of q the verdict is wrong: q and 5q would pass.
+    """
+    return ~((flags[s] & (s > q)) | ((s % 5 == 0) & flags[s // 5] & (s // 5 > q)))
 
 
-def smooth_pair_rows(qs: np.ndarray, unit_gpf: tuple[np.ndarray, np.ndarray]) -> WitnessRows:
-    """find_smooth_pair for every prime of qs at once (ascending, each 6q below the bound of unit_gpf).
+def smooth_pair_rows(qs: np.ndarray, flags: np.ndarray) -> WitnessRows:
+    """find_smooth_pair for every prime of qs at once (ascending, each 6q - 1 within the flags of prime_flags).
 
     s1 walks the units 1, 5, 7, 11, ... in lockstep over the primes still
-    unresolved.  For a q-smooth s1, s1^-1 mod 6q = (1 + 6q*t)/s1 with
-    t = -(6q)^-1 mod s1, read off a table of size s1 at q mod s1, and
-    s2 = r*s1^-1 mod 6q.  A prime takes the first s1 whose s2 is q-smooth
-    too, as find_smooth_pair does, so each row is its witness.  s1 and
-    s2 are factored by peeling greatest prime factors.
+    unresolved.  For a q-smooth s1 prime to q, s1^-1 mod 6q =
+    (1 + 6q*t)/s1 with t = -(6q)^-1 mod s1, read off a table of size s1
+    at q mod s1, and s2 = r*s1^-1 mod 6q, a unit.  A prime takes the
+    first s1 whose s2 is q-smooth too, as find_smooth_pair does, so each
+    row is its witness.  Smoothness is read off the flags (_smooth).
     """
     import numpy as np
 
@@ -536,42 +535,32 @@ def smooth_pair_rows(qs: np.ndarray, unit_gpf: tuple[np.ndarray, np.ndarray]) ->
     todo = np.arange(q.size)
     c, step = 1, 4
     while (todo := todo[mod[todo] > c]).size:
-        smooth = todo[q[todo] > _gpf_of(np.array([c]), unit_gpf)[0]]
+        qt = q[todo]
+        # q is prime, so c is prime to q unless q divides it
+        smooth = todo[(c % qt != 0) & _smooth(c, qt, flags)]
         if smooth.size:
             # 6x is invertible mod c for every x = q mod c left: a prime
             # factor of c that divided q would be q itself, not below q
             t = np.array([-pow(6 * x, -1, c) % c if math.gcd(x, c) == 1 else 0 for x in range(c)], dtype=np.int64)
             qc, mc = q[smooth], mod[smooth]
             partner = r[smooth] * ((1 + mc * t[qc % c]) // c) % mc
-            hit = _gpf_of(partner, unit_gpf) < qc
+            hit = _smooth(partner, qc, flags)
             s1[smooth[hit]], s2[smooth[hit]] = c, partner[hit]
             todo = todo[s1[todo] == 0]
         c += step
         step = 6 - step
     n = np.where(s1 > 0, 9 * ((s1 * s2 - r) // mod) + a, 0)
-    found = np.flatnonzero(s1)
-    row, left = np.concatenate((found, found)), np.concatenate((s1[found], s2[found]))
-    peeled_rows, peeled = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    while (live := left > 1).any():
-        row, left = row[live], left[live]
-        p = _gpf_of(left, unit_gpf).astype(np.int64)
-        peeled_rows.append(row)
-        peeled.append(p)
-        left = left // p
-    row, p = np.concatenate(peeled_rows), np.concatenate(peeled)
-    order = np.lexsort((p, row))
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=q.size))))
-    return WitnessRows(q=q, s1=s1, s2=s2, n=n, offsets=offsets, primes=p[order])
+    return WitnessRows(q=q, s1=s1, s2=s2, n=n)
 
 
 def _failed_rows(rows: WitnessRows, flags: np.ndarray) -> np.ndarray:
     """failed[i] is False exactly when row i passes every check SmoothWitness makes.
 
     The checks run over the int64 columns as plain comparisons, so they
-    hold under python -O.  Each listed factor p must be a prime below q
-    by the sieve flags (which reach every q) and divide what is left of
-    s1*s2, and nothing may be left at the end.  An unresolved row fails
-    (0 is no unit).
+    hold under python -O.  s1 and s2 must be units below 6q, and then
+    q-smooth by the lemma of _smooth over the flags of prime_flags,
+    which reach 6q - 1 for every q.  An unresolved row fails (0 is no
+    unit).
     """
     import numpy as np
 
@@ -585,24 +574,13 @@ def _failed_rows(rows: WitnessRows, flags: np.ndarray) -> np.ndarray:
     failed = (a * q % 9 != 8) | (3 * r != 2 * a * q - 1) | (r % 6 != 5)
     for s in (s1, s2):
         failed |= (s <= 0) | (s >= mod) | (np.gcd(s, mod) != 1)
+        units = np.flatnonzero(~failed)  # the lemma holds for units only
+        failed[units] |= ~_smooth(s[units], q[units], flags)
     product = s1 * s2
     k, rem = np.divmod(product - r, mod)
     failed |= (rem != 0) | (k < 0) | (k >= mod) | (n != 9 * k + a) | (n >= 54 * q)
     l, rem = np.divmod(n * q - 2, 3)
-    failed |= (rem != 0) | (2 * l + 1 != product)
-    left, at, end = product.copy(), rows.offsets[:-1].copy(), rows.offsets[1:]
-    live = np.flatnonzero(at < end)
-    while live.size:
-        p = rows.primes[at[live]]
-        fits = (p > 1) & (p < q[live])
-        fits[fits] = flags[p[fits]]
-        fits[fits] = left[live[fits]] % p[fits] == 0
-        failed[live[~fits]] = True
-        live, p = live[fits], p[fits]
-        left[live] //= p
-        at[live] += 1
-        live = live[at[live] < end[live]]
-    return failed | (left != 1)
+    return failed | (rem != 0) | (2 * l + 1 != product)
 
 
 # --------------------------------------------------------------------------
@@ -669,11 +647,13 @@ class WildContext:
     2, 5, 7, 11 only, verified here; the other built-ins are
     reconstructed, not assumed), verified trajectory S-certificates
     keyed by integer, the witness rows the induction driver found, the
-    smooth witness of each prime one was asked for (with the
-    factorization of its s1*s2), the coverage table, the trajectory
-    budget, and an optional persistent store: remember writes each
-    certificate's one file there, and recall loads a file (re-verified
-    by the store) when the cache misses.
+    smooth witness of each prime one was asked for (a kept row's is
+    built on demand, factoring its s1*s2 once), the coverage table, the
+    trajectory budget, and an optional persistent store: remember
+    writes each certificate's one file there, and recall loads a file
+    (re-verified by the store) when the cache misses.  The driver
+    searches every prime of a level without a certificate in memory, so
+    one only in the store costs a checked row, not a load.
     """
 
     def __init__(
@@ -1196,16 +1176,18 @@ def _first_unfit_row(
     trajectory certificate (each distinct n is asked once), or when a
     prime factor of s1*s2 is uncovered: a gap, or a prime whose own row
     failed.  Every other prime below q is covered, by a certificate or a
-    row checked at its level.  Checks come in SmoothWitness order, so a
-    failed row is named by the witness built from it, or by
-    find_smooth_pair where the search left it unresolved.
+    row checked at its level, and a passing row has no factor above q,
+    so the uncovered primes are tried by divisibility.  Checks come in
+    SmoothWitness order, so a failed row is named by the witness built
+    from it, or by find_smooth_pair where the search left it unresolved.
     """
     import numpy as np
 
-    factor_row = np.repeat(np.arange(rows.q.size), np.diff(rows.offsets))
-    uncovered = np.isin(rows.primes, gaps + rows.q[failed].tolist())
+    product = rows.s1 * rows.s2
+    uncovered = gaps + rows.q[failed].tolist()
     unfit = failed.copy()
-    unfit[factor_row[uncovered]] = True
+    for p in uncovered:
+        unfit |= ~failed & (rows.q > p) & (product % p == 0)
     s_failure = None
     valid = np.flatnonzero(~failed)
     for i in np.sort(valid[np.unique(rows.n[valid], return_index=True)[1]]).tolist():
@@ -1227,9 +1209,8 @@ def _first_unfit_row(
         return q, "the witness columns fail a check that the scalar path passes"
     if s_failure and s_failure[0] == i:
         return q, s_failure[1]
-    own = slice(rows.offsets[i], rows.offsets[i + 1])
-    p = int(rows.primes[own][uncovered[own]].min())
-    return q, f"prime factor {p} of s1*s2 = {int(rows.s1[i]) * int(rows.s2[i])} has no verified certificate"
+    p = min(p for p in uncovered if p < q and int(product[i]) % p == 0)
+    return q, f"prime factor {p} of s1*s2 = {int(product[i])} has no verified certificate"
 
 
 def induction_driver(
@@ -1246,14 +1227,14 @@ def induction_driver(
         bound), with spot-built certificates;
     (3) every m <= (2^k - 1)/189 with 3 not dividing m is wild.  At the
         start of each level, one column search (smooth_pair_rows) finds
-        the witnesses of the level's primes without a certificate, and
-        the context keeps the rows, so hypothesis 1 takes its
-        multipliers' witnesses from them.  The primes come from one
-        sieve up to (2^k_max - 1)/189 and the greatest prime factors
-        from one sieve below 6 (2^k_max - 1)/189 + 6, so k_max is at
+        the witnesses of the level's primes without a certificate in
+        memory, and the context keeps the rows, so hypothesis 1 takes its
+        multipliers' witnesses from them.  One prime sieve below
+        6 (2^k_max - 1)/189 + 6 gives the primes and, through the lemma
+        of _smooth, which units below 6q are q-smooth, so k_max is at
         most 35.  Each row passes the checks of SmoothWitness over the
         columns (_failed_rows), its n gets a trajectory certificate, and
-        each prime factor of s1*s2 must be covered.  The first row to
+        no uncovered prime may divide s1*s2.  The first row to
         fail, in ascending q, is named through the scalar path: the
         SmoothWitness built from it, or find_smooth_pair for a prime
         the search left unresolved.  A composite is covered by closure,
@@ -1265,10 +1246,12 @@ def induction_driver(
         w_certificate_for_prime builds one from the rows on demand.
     Any failure aborts with the offending k, hypothesis and witness.
     """
+    import numpy as np
+
     if k_max < 12:
         raise ValueError(f"induction starts at k = 12, got k_max = {k_max}")
     # both bounds are refused before the sweep runs, the reach bound first;
-    # hypothesis 3 reads greatest prime factors from one sieve below
+    # hypothesis 3 reads smoothness from one prime sieve below
     # 6 (m_limit + 1), which SIEVE_LIMIT_MAX caps at k_max = 35
     reach_bound = min((1 << k_max) - 2, trajectory_bound)
     _check_reach_bound(reach_bound)
@@ -1294,8 +1277,7 @@ def induction_driver(
         comparison = f"{format_rational(worst)}<{format_rational(ONESTEP_BOUND)}"
 
     reach = reach_one_range(reach_bound)
-    flags = prime_flags(m_limit)
-    unit_gpf = _unit_gpf(m_limit + 1)
+    flags = prime_flags(6 * (m_limit + 1) - 1)
 
     def uncovered(p: int) -> bool:
         return context.recall(p) is None and not context.holds([p])[0]
@@ -1315,8 +1297,9 @@ def induction_driver(
     for k in range(12, k_max + 1):
         # the level's witnesses, kept before hypothesis 1 needs any
         m_bound = ((1 << k) - 1) // 189
-        level = (flags[m_done + 1 : m_bound + 1].nonzero()[0] + (m_done + 1)).tolist()
-        rows = smooth_pair_rows([q for q in level if q != 3 and context.recall(q) is None], unit_gpf)
+        level = flags[m_done + 1 : m_bound + 1].nonzero()[0] + (m_done + 1)
+        certified = np.fromiter(context.certificates, dtype=np.int64, count=len(context.certificates))
+        rows = smooth_pair_rows(level[(level != 3) & ~np.isin(level, certified)], flags)
         context.keep_rows(rows)
         # hypothesis 1
         if k == 12:

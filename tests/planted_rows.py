@@ -9,26 +9,17 @@ import numpy as np
 
 from wildsemi.wildprove import WitnessRows
 
+COLUMNS = ("q", "s1", "s2", "n")
+
 
 def _rebuild(rows, keep, changes):
     """rows restricted to the indices in keep, with changes[i] (a dict of columns) applied to row i."""
-    columns = {name: [] for name in ("q", "s1", "s2", "n", "primes")}
-    for i in keep:
-        row = {name: int(getattr(rows, name)[i]) for name in ("q", "s1", "s2", "n")}
-        row["primes"] = rows.primes[rows.offsets[i] : rows.offsets[i + 1]].tolist()
-        row.update(changes.get(i, {}))
-        for name, value in row.items():
-            columns[name].append(value)
-    factors = columns.pop("primes")
-    return WitnessRows(
-        **{name: np.array(values, dtype=np.int64) for name, values in columns.items()},
-        offsets=np.cumsum([0] + [len(f) for f in factors]),
-        primes=np.array([p for f in factors for p in f], dtype=np.int64),
-    )
+    table = [{name: int(getattr(rows, name)[i]) for name in COLUMNS} | changes.get(i, {}) for i in keep]
+    return WitnessRows(**{name: np.array([row[name] for row in table], dtype=np.int64) for name in COLUMNS})
 
 
 def plant(rows, q, **changes):
-    """rows with the row of q changed: s1, s2 and n as ints, primes as the factor list (with repeats)."""
+    """rows with the row of q changed: s1, s2 and n as ints."""
     i = int(np.flatnonzero(rows.q == q)[0])
     return _rebuild(rows, range(rows.q.size), {i: changes})
 
@@ -41,11 +32,11 @@ def drop(rows, qs):
 def planting(search, q, **changes):
     """A stand-in for smooth_pair_rows that plants changes into the row of q, when q is searched."""
 
-    def planted(qs, unit_gpf):
-        rows = search(qs, unit_gpf)
+    def planted(qs, flags):
+        rows = search(qs, flags)
         return plant(rows, q, **changes) if q in rows.q else rows
 
     return planted
 
 
-UNRESOLVED = {"s1": 0, "s2": 0, "n": 0, "primes": []}  # a row the search found no pair for
+UNRESOLVED = {"s1": 0, "s2": 0, "n": 0}  # a row the search found no pair for

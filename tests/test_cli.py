@@ -471,14 +471,13 @@ class TestInductCommand:
         assert done.stderr.splitlines()[-1] == f"error: reach bound must be in 1..2147483647, got {reach}"
 
     def test_k_max_beyond_the_sieve_is_refused_before_allocating(self):
-        # hypothesis 3 sieves greatest prime factors below
-        # 6 ((2^k_max - 1)/189 + 1), which fits prime_flags up to
-        # k_max = 35; at 36 the refusal comes before any sieve, under the
-        # 1 GiB cap and under -O
-        def gpf_limit(k):
+        # hypothesis 3 sieves primes below 6 ((2^k_max - 1)/189 + 1),
+        # which fits prime_flags up to k_max = 35; at 36 the refusal
+        # comes before any sieve, under the 1 GiB cap and under -O
+        def sieve_limit(k):
             return 6 * ((2**k - 1) // 189 + 1) - 1
 
-        assert gpf_limit(35) <= wildprove.SIEVE_LIMIT_MAX < gpf_limit(36)
+        assert sieve_limit(35) <= wildprove.SIEVE_LIMIT_MAX < sieve_limit(36)
 
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
@@ -502,6 +501,13 @@ class TestInductCommand:
         code, out, _ = run(capsys, "induct", "24")
         assert code == EXIT_OK
         digest = "ebc07cb43af08e18c702123a41e94f8892614e4b612c9f01bc88515566eb2640"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_stdout_to_k_28_is_pinned(self, capsys):
+        # from k = 28 on, hypothesis 3 reads smoothness of m above 10^6
+        code, out, _ = run(capsys, "induct", "28")
+        assert code == EXIT_OK
+        digest = "837bced8d582cb9d150441a34e958cd1e99095233eaa74ab1490d961b56d1908"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

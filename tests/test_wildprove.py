@@ -174,7 +174,7 @@ def record_rows(monkeypatch):
     found = []
     search = wildsemi.wildprove.smooth_pair_rows
     monkeypatch.setattr(
-        wildsemi.wildprove, "smooth_pair_rows", lambda qs, unit_gpf: found.append(search(qs, unit_gpf)) or found[-1]
+        wildsemi.wildprove, "smooth_pair_rows", lambda qs, flags: found.append(search(qs, flags)) or found[-1]
     )
     return found
 
@@ -533,8 +533,8 @@ class TestSmoothPair:
 
     def test_tampered_factors_are_refused_under_optimize(self):
         # each tampered factorization is refused when the witness is
-        # built; one planted in the driver's witness rows stops
-        # hypothesis 3 with the same message
+        # built; a non-smooth s2 planted in the driver's witness rows
+        # stops hypothesis 3 with the message of the witness's factors
         out = run_optimized(
             """
             import dataclasses, sys
@@ -556,8 +556,9 @@ class TestSmoothPair:
                 except ValueError as exc:
                     print(sys.flags.optimize, exc)
 
-            # the row of 19 lists 5 once, not twice
-            wildprove.smooth_pair_rows = planting(wildprove.smooth_pair_rows, 19, primes=[5, 7, 11])
+            # the row of 19 pairs s1 = 13 with the prime 113 > 19; every
+            # identity holds
+            wildprove.smooth_pair_rows = planting(wildprove.smooth_pair_rows, 19, s1=13, s2=113, n=116)
             try:
                 induction_driver(12)
             except InductionError as exc:
@@ -570,7 +571,7 @@ class TestSmoothPair:
             "1 factors multiply to 25, not s1*s2 = 125",
             "1 (7, 0) is not a prime in (5, 47) with an exponent in 1..6",
             "1 (5, 2) is not a prime in (7, 19) with an exponent in 1..10",
-            "1 k=12 hypothesis=3 witness=19: factors multiply to 385, not s1*s2 = 1925",
+            "1 k=12 hypothesis=3 witness=19: (113, 1) is not a prime in (13, 19) with an exponent in 1..10",
         ]
 
     @given(st.integers(13, 3000))
@@ -587,9 +588,10 @@ class TestSmoothPair:
 def assert_rows_match(qs, m, monkeypatch):
     """Each row of the column search, and the witness_record built from it, equals find_smooth_pair."""
     expected = [find_smooth_pair(q) for q in qs]
-    rows = smooth_pair_rows(qs, wildsemi.wildprove._unit_gpf(m + 1))
+    flags = prime_flags(6 * m - 1)
+    rows = smooth_pair_rows(qs, flags)
     assert rows.q.tolist() == qs
-    assert not wildsemi.wildprove._failed_rows(rows, prime_flags(m)).any()
+    assert not wildsemi.wildprove._failed_rows(rows, flags).any()
     context = WildContext()
     context.keep_rows(rows)
     forbid_scalar_search(monkeypatch)
@@ -608,31 +610,46 @@ class TestWitnessRows:
         primes = [q for q in np.flatnonzero(prime_flags(m)).tolist() if q >= 13]
         assert_rows_match(sorted(rng.sample(primes, 500)), m, monkeypatch)
 
+    def test_smoothness_lemma_matches_the_gpf_sieve_and_the_prime_count(self):
+        # for every prime 5 <= q <= 10^4 and every s < 6q prime to 6q,
+        # the flags' verdict is gpf(s) < q; the s that are not q-smooth
+        # number (pi(6q) - pi(q)) + (pi(6q/5) - pi(q)), the left side of
+        # the pi-inequality
+        q_max = 10**4
+        flags = prime_flags(6 * q_max)
+        pi = np.cumsum(flags)
+        gpf = np.zeros(6 * q_max, dtype=np.int64)
+        gpf[1::6], gpf[5::6] = wildsemi.wildprove._unit_gpf(q_max)
+        units = np.flatnonzero((np.arange(6 * q_max) % 6) % 4 == 1)  # 1 and 5 mod 6, ascending
+        for q in np.flatnonzero(flags[: q_max + 1]).tolist()[2:]:  # from 5 on
+            s = units[: 2 * q]
+            s = s[s % q != 0]
+            smooth = wildsemi.wildprove._smooth(s, q, flags)
+            assert np.array_equal(smooth, gpf[s] < q), q
+            assert (~smooth).sum() == (pi[6 * q] - pi[q]) + (pi[6 * q // 5] - pi[q]), q
+
     def test_no_primes_make_no_rows(self):
-        rows = smooth_pair_rows([], wildsemi.wildprove._unit_gpf(10))
-        assert rows.q.size == rows.primes.size == 0 and rows.offsets.tolist() == [0]
+        rows = smooth_pair_rows([], prime_flags(59))
+        assert rows.q.size == rows.s1.size == rows.s2.size == rows.n.size == 0
 
     # the column checks refuse each planted row, and the SmoothWitness
     # built from it names the fault
     @pytest.mark.parametrize(
         "k, q, changes, reason",
         [
-            (12, 19, {"primes": [5, 7, 11]}, "factors multiply to 385, not s1*s2 = 1925"),
-            # 11 // 7 = 1: only the divisibility check sees this one
-            (12, 19, {"primes": [5, 5, 7, 7]}, "factors multiply to 1225, not s1*s2 = 1925"),
-            (14, 47, {"primes": [5, 25]}, "(25, 1) is not a prime in (5, 47) with an exponent in 1..6"),
+            # every identity holds in the next four, so only the
+            # smoothness check sees them: s2 a prime above q, s2 five
+            # times one (205 = 5 * 41), s1 a prime above q
+            (12, 19, {"s1": 13, "s2": 113, "n": 116}, "(113, 1) is not a prime in (13, 19) with an exponent in 1..10"),
+            (13, 37, {"s1": 119, "s2": 205, "n": 989}, "(41, 1) is not a prime in (17, 37) with an exponent in 1..14"),
+            (12, 19, {"s1": 23, "s2": 49, "n": 89}, "(23, 1) is not a prime in (7, 19) with an exponent in 1..10"),
             # r = 17 itself: 1 * 17 = 6qk + r with k = 0, but 17 > 13
-            (
-                12,
-                13,
-                {"s1": 1, "s2": 17, "n": 2, "primes": [17]},
-                "(17, 1) is not a prime in (1, 13) with an exponent in 1..4",
-            ),
+            (12, 13, {"s1": 1, "s2": 17, "n": 2}, "(17, 1) is not a prime in (1, 13) with an exponent in 1..4"),
             (12, 19, {"s1": 57}, "57 is not a unit below 6q for q = 19"),
             # 13's own product 875 = 25 * 35, split as 1 * 875: every
             # identity holds, but 875 is not below 6q
             (12, 13, {"s1": 1, "s2": 875}, "875 is not a unit below 6q for q = 13"),
-            (13, 23, {"s2": 35, "primes": [5, 5, 7]}, "s1*s2 = 175 is not 6qk + r with 0 <= k < 6q"),
+            (13, 23, {"s2": 35}, "s1*s2 = 175 is not 6qk + r with 0 <= k < 6q"),
             (12, 19, {"n": 161}, "n = 161 is not 9k + a < 54q"),
             (12, 19, UNRESOLVED, "the witness columns fail a check that the scalar path passes"),
         ],
@@ -1354,20 +1371,28 @@ class TestInduction:
 
     def test_hypothesis_three_factors_no_admissible_m(self, monkeypatch):
         # only hypothesis 1's first use of each one-step multiplier
-        # factors: the column search peels s1 and s2 by the sieve, the
-        # multipliers' witnesses come from its rows, and the driver
-        # factors no m
+        # factors: w_certificate_for_integer factors the multiplier, and
+        # each prime's witness, built from the kept rows on demand,
+        # factors its s1*s2 once (43 = (1/n) g(l) * 11 * 13 rests on 13).
+        # The driver, the column search and the column checks factor no m
         factorize = wildsemi.wildprove.factorize
         calls = []
 
         def counted(n):
-            calls.append((sys._getframe(1).f_code.co_name, n))
+            caller = sys._getframe(1)
+            calls.append((caller.f_code.co_name, caller.f_back.f_code.co_name, n))
             return factorize(n)
 
         monkeypatch.setattr(wildsemi.wildprove, "factorize", counted)
         forbid_scalar_search(monkeypatch)
         induction_driver(18)
-        assert calls == [("w_certificate_for_integer", 43), ("w_certificate_for_integer", 29)]
+        assert calls == [
+            ("w_certificate_for_integer", "onestep_reduce", 43),
+            ("witness", "witness_record", 11 * 13),  # the witness of 43
+            ("witness", "witness_record", 25 * 35),  # of 13
+            ("w_certificate_for_integer", "onestep_reduce", 29),
+            ("witness", "witness_record", 7 * 11),  # of 29
+        ]
 
     def test_wrong_witness_names_k_hypothesis_and_prime_under_optimize(self):
         # the row of 19 comes back with n = 152 + 9, so it fails the
