@@ -379,6 +379,12 @@ def find_decreasing_steps(
     eight T steps per _JUMP lookup; tokens are built only for the
     sequence returned, and symbolic_apply re-walks them one step at a
     time when the record is made.
+
+    The cut: a walk's a never falls (a T step multiplies it by 1 or 3,
+    a multiplication by m >= 5) and b stays >= 0, so no candidate whose
+    state has a >= 2^j can decrease; a only grows along each loop's
+    index, so each loop breaks at its first such candidate and the
+    first decreasing sequence is unchanged.
     """
     for m in products:
         if not _is_multiplier(m):
@@ -386,6 +392,7 @@ def find_decreasing_steps(
     j = cls.j
     n0 = cls.smallest_element
     bound = n0 << j
+    cut = 1 << j
 
     def decreasing(state: _State) -> bool:
         # t = j at the end, so a*n0 + b < n0*2^j is worst ratio < 1
@@ -406,6 +413,8 @@ def find_decreasing_steps(
     if limits.max_muls >= 1:
         for m in products:
             for pos in range(j):
+                if prefix[pos][0] * m >= cut:
+                    break
                 if decreasing(_t_steps(_times(prefix[pos], m), j - pos)):
                     return steps_with((pos, m))
     if limits.max_muls >= 2:
@@ -415,9 +424,13 @@ def find_decreasing_steps(
         )
         for m1, m2 in pairs:
             for p1 in range(j - 1):
+                if prefix[p1][0] * m1 * m2 >= cut:
+                    break
                 chain = _times(prefix[p1], m1)
                 for p2 in range(p1 + 1, j):
                     chain = _t_step(chain)
+                    if chain[0] * m2 >= cut:
+                        break
                     if decreasing(_t_steps(_times(chain, m2), j - p2)):
                         return steps_with((p1, m1), (p2, m2))
             # both multipliers at distinct spots only; a shared spot is

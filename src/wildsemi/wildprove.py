@@ -713,13 +713,20 @@ class WildContext:
         self.rows.append(rows)
 
     def holds(self, qs: np.ndarray) -> np.ndarray:
-        """held[i] is True when the context keeps a row or a record for the prime qs[i]."""
+        """held[i] is True when the context keeps a row or a record for the prime qs[i].
+
+        Each level's rows.q is sorted, so a level whose [q[0], q[-1]]
+        misses [min(qs), max(qs)] holds none of them and is skipped.
+        """
         import numpy as np
 
         qs = np.asarray(qs, dtype=np.int64)
         held = np.isin(qs, np.fromiter(self.records, dtype=np.int64, count=len(self.records)))
+        if not qs.size:
+            return held
+        lo, hi = qs.min(), qs.max()
         for rows in self.rows:
-            if rows.q.size:
+            if rows.q.size and rows.q[0] <= hi and rows.q[-1] >= lo:
                 at = np.searchsorted(rows.q, qs).clip(max=rows.q.size - 1)
                 held |= rows.q[at] == qs
         return held

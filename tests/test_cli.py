@@ -314,6 +314,18 @@ class TestCoverageCommand:
         code, out, _ = run(capsys, "coverage", "--fixture", str(out_file), "--bits", "12")
         assert code == EXIT_OK and kv(out)["status"] == "pass"
 
+    def test_regen_mod_2_48_is_pinned(self, capsys, tmp_path, monkeypatch):
+        # the relative --out keeps the wrote= line, and so stdout, fixed
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "coverage", "--regen", "--bits", "48", "--out", "cover48.table")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9a9ea488a847c7adbaadb04ed5b1b7341b81e05b9d79694bdc98e0a405a97527"
+        )
+        assert hashlib.sha256((tmp_path / "cover48.table").read_bytes()).hexdigest() == (
+            "a795de81e969a4768714fab0cf66f931e16007ec298c9214bf9357f843cc5c60"
+        )
+
     def test_flag_validation(self, capsys):
         assert run(capsys, "coverage", "--bits", "12")[0] == EXIT_USAGE
         assert run(capsys, "coverage", "--fixture", "--regen", "--bits", "12")[0] == EXIT_USAGE

@@ -177,6 +177,24 @@ class TestJumpTable:
             state = (a, b, t, u, r)
             assert residue._t_steps(state, count) == reference_search._t_steps(state, count), count
 
+    @given(st.integers(0, MOD_EXP_CAP), st.data())
+    def test_a_never_falls_and_b_stays_nonnegative(self, r, data):
+        # the search's cut: once a >= 2^j no candidate can decrease
+        state = (1, 0, 0, data.draw(st.integers(0, 2**r - 1)) if r else 0, r)
+        products = multiplier_products(DEFAULT_MULTIPLIER_BASE, 50)
+        for _ in range(data.draw(st.integers(0, 12))):
+            move = data.draw(st.sampled_from(["t_step", "t_steps", "times"]))
+            if move == "times":
+                nxt = residue._times(state, data.draw(st.sampled_from(products)))
+            elif move == "t_steps":
+                nxt = residue._t_steps(state, data.draw(st.integers(0, state[4])))
+            elif state[4]:
+                nxt = residue._t_step(state)
+            else:
+                continue
+            assert nxt[0] >= state[0] and nxt[1] >= 0, (state, move, nxt)
+            state = nxt
+
 
 class TestAffineMap:
     def test_apply(self):
@@ -280,8 +298,11 @@ class TestSearchMatchesReference:
                 assert find_decreasing_steps(cls, products, limits) == expected, cls
 
     def test_every_node_of_the_cover_mod_2_44(self, cover_44):
-        _, searched = cover_44
+        _, searched, calls = cover_44
         assert len(searched) == 76
+        # the search's work: dropping any of the a >= 2^j cuts, or going
+        # on past a cut candidate instead of breaking, raises a count
+        assert calls == {"_t_step": 48919, "_t_steps": 48868}
         for (cls, products, limits), steps in searched:
             assert reference_search.find_decreasing_steps(cls, products, limits) == steps, cls
 
@@ -300,8 +321,20 @@ class TestSearchMatchesReference:
                 expected = reference_search.find_decreasing_steps(cls, products, limits)
                 assert find_decreasing_steps(cls, products, limits) == expected, (cls, limits)
 
+    @pytest.mark.parametrize("ell", [44, 47])
+    def test_two_multipliers_past_depth_44(self, ell):
+        # low bits an all-ones run of length ell: the plain walk and one
+        # multiplier fail, so the default limits reach the pairs, where
+        # the a >= 2^j cut ends most of the p1 and p2 loops
+        rng = random.Random(ell)
+        cls = ResidueClass((2**ell - 1) | rng.randrange(2 ** (48 - ell) - 1) << ell, 48)
+        products = multiplier_products(DEFAULT_MULTIPLIER_BASE, 50)
+        expected = reference_search.find_decreasing_steps(cls, products, SearchLimits())
+        assert len(make_path_record(cls, expected).multipliers) == 2
+        assert find_decreasing_steps(cls, products, SearchLimits()) == expected
+
     def test_cover_mod_2_44_table_is_pinned(self, cover_44):
-        table, _ = cover_44
+        table, _, _ = cover_44
         digest = hashlib.sha256(dump_coverage(table).encode()).hexdigest()
         assert digest == "1f3de0b219ae62632a35e2ff09145dfdfd9cce41fd1113bbfa163eb02ceb8984"
 
@@ -312,8 +345,10 @@ class TestSearchMatchesReference:
 
 @pytest.fixture(scope="module")
 def cover_44():
-    """build_coverage(44) with every search call it made and its result."""
+    """build_coverage(44) with every search call it made and its result,
+    and how often it called _t_step and _t_steps."""
     searched = []
+    calls = {"_t_step": 0, "_t_steps": 0}
     search = residue.find_decreasing_steps
 
     def recording(*args):
@@ -321,10 +356,21 @@ def cover_44():
         searched.append((args, steps))
         return steps
 
+    def counting(name):
+        step = getattr(residue, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return step(*args)
+
+        return counted
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(residue, "find_decreasing_steps", recording)
+        for name in calls:
+            mp.setattr(residue, name, counting(name))
         table = build_coverage(44)
-    return table, searched
+    return table, searched, calls
 
 
 class TestBuildCoverage:

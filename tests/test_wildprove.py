@@ -632,6 +632,20 @@ class TestWitnessRows:
         rows = smooth_pair_rows([], prime_flags(59))
         assert rows.q.size == rows.s1.size == rows.s2.size == rows.n.size == 0
 
+    def test_holds_reads_each_level_up_to_its_ends(self):
+        # a level whose q range misses the asked range is skipped; the
+        # ends of both ranges count as inside
+        context = WildContext()
+        for qs in ([13, 17, 19], [23, 29, 31]):
+            context.keep_rows(smooth_pair_rows(qs, prime_flags(6 * 31)))
+        context.records[37] = find_smooth_pair(37)
+        asked = [11, 13, 19, 23, 31, 37, 41]
+        expected = [False, True, True, True, True, True, False]
+        assert context.holds(asked).tolist() == expected
+        assert [bool(context.holds([q])[0]) for q in asked] == expected
+        assert context.holds([13, 31]).tolist() == [True, True]
+        assert context.holds([]).size == 0
+
     # the column checks refuse each planted row, and the SmoothWitness
     # built from it names the fault
     @pytest.mark.parametrize(
