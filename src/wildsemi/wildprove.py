@@ -646,14 +646,15 @@ class WildContext:
     Holds verified W-certificates keyed by integer target (seeded with
     2, 5, 7, 11 only, verified here; the other built-ins are
     reconstructed, not assumed), verified trajectory S-certificates
-    keyed by integer, the witness rows the induction driver found, the
-    smooth witness of each prime one was asked for (a kept row's is
-    built on demand, factoring its s1*s2 once), the coverage table, the
-    trajectory budget, and an optional persistent store: remember
-    writes each certificate's one file there, and recall loads a file
-    (re-verified by the store) when the cache misses.  The driver
-    searches every prime of a level without a certificate in memory, so
-    one only in the store costs a checked row, not a load.
+    keyed by integer, every witness row the induction driver searched
+    (it appends each level's rows itself), the smooth witness of each
+    prime one was asked for (a row's is built on demand, factoring its
+    s1*s2 once), the coverage table, the trajectory budget, and an
+    optional persistent store: remember writes each certificate's one
+    file there, and recall loads a file (re-verified by the store) when
+    the cache misses.  The driver searches every prime of a level
+    without a certificate in memory, so one only in the store costs a
+    checked row, not a load.
     """
 
     def __init__(
@@ -707,29 +708,6 @@ class WildContext:
                 witness = find_smooth_pair(q)
             self.records[q] = witness
         return witness
-
-    def keep_rows(self, rows: WitnessRows) -> None:
-        """Keep a level's witness rows; witness_record builds a witness from one on demand."""
-        self.rows.append(rows)
-
-    def holds(self, qs: np.ndarray) -> np.ndarray:
-        """held[i] is True when the context keeps a row or a record for the prime qs[i].
-
-        Each level's rows.q is sorted, so a level whose [q[0], q[-1]]
-        misses [min(qs), max(qs)] holds none of them and is skipped.
-        """
-        import numpy as np
-
-        qs = np.asarray(qs, dtype=np.int64)
-        held = np.isin(qs, np.fromiter(self.records, dtype=np.int64, count=len(self.records)))
-        if not qs.size:
-            return held
-        lo, hi = qs.min(), qs.max()
-        for rows in self.rows:
-            if rows.q.size and rows.q[0] <= hi and rows.q[-1] >= lo:
-                at = np.searchsorted(rows.q, qs).clip(max=rows.q.size - 1)
-                held |= rows.q[at] == qs
-        return held
 
     def remember(self, m: int, cert: Certificate) -> None:
         self.certificates[m] = cert
@@ -1174,27 +1152,18 @@ class InductionReport:
         return "\n".join(line.render() for line in self.lines)
 
 
-def _first_unfit_row(
-    rows: WitnessRows, failed: np.ndarray, gaps: list[int], context: WildContext
-) -> Optional[tuple[int, str]]:
+def _first_unfit_row(rows: WitnessRows, failed: np.ndarray, context: WildContext) -> Optional[tuple[int, str]]:
     """(q, reason) for the first row, in ascending q, that hypothesis 3 refuses; None if none.
 
-    A row is refused when it failed a column check, when its n gets no
-    trajectory certificate (each distinct n is asked once), or when a
-    prime factor of s1*s2 is uncovered: a gap, or a prime whose own row
-    failed.  Every other prime below q is covered, by a certificate or a
-    row checked at its level, and a passing row has no factor above q,
-    so the uncovered primes are tried by divisibility.  Checks come in
-    SmoothWitness order, so a failed row is named by the witness built
-    from it, or by find_smooth_pair where the search left it unresolved.
+    A row is refused when it failed a column check or when its n gets no
+    trajectory certificate (each distinct n is asked once, in ascending
+    q); the first of each kind is found, and the lower q is named.
+    Checks come in SmoothWitness order, so a failed row is named by the
+    witness built from it, or by find_smooth_pair where the search left
+    it unresolved.
     """
     import numpy as np
 
-    product = rows.s1 * rows.s2
-    uncovered = gaps + rows.q[failed].tolist()
-    unfit = failed.copy()
-    for p in uncovered:
-        unfit |= ~failed & (rows.q > p) & (product % p == 0)
     s_failure = None
     valid = np.flatnonzero(~failed)
     for i in np.sort(valid[np.unique(rows.n[valid], return_index=True)[1]]).tolist():
@@ -1203,21 +1172,18 @@ def _first_unfit_row(
         except (ValueError, BudgetExhaustedError, VerificationError) as exc:
             s_failure = (i, str(exc))
             break
-    refused = np.flatnonzero(unfit)[:1].tolist() + ([s_failure[0]] if s_failure else [])
+    refused = np.flatnonzero(failed)[:1].tolist() + ([s_failure[0]] if s_failure else [])
     if not refused:
         return None
     i = min(refused)
     q = int(rows.q[i])
-    if failed[i]:
-        try:
-            find_smooth_pair(q) if rows.s1[i] == 0 else rows.witness(i)
-        except (ValueError, SmoothPairExhaustionError, VerificationError) as exc:
-            return q, str(exc)
-        return q, "the witness columns fail a check that the scalar path passes"
-    if s_failure and s_failure[0] == i:
+    if not failed[i]:
         return q, s_failure[1]
-    p = min(p for p in uncovered if p < q and int(product[i]) % p == 0)
-    return q, f"prime factor {p} of s1*s2 = {int(product[i])} has no verified certificate"
+    try:
+        find_smooth_pair(q) if rows.s1[i] == 0 else rows.witness(i)
+    except (ValueError, SmoothPairExhaustionError, VerificationError) as exc:
+        return q, str(exc)
+    return q, "the witness columns fail a check that the scalar path passes"
 
 
 def induction_driver(
@@ -1235,21 +1201,22 @@ def induction_driver(
     (3) every m <= (2^k - 1)/189 with 3 not dividing m is wild.  At the
         start of each level, one column search (smooth_pair_rows) finds
         the witnesses of the level's primes without a certificate in
-        memory, and the context keeps the rows, so hypothesis 1 takes its
-        multipliers' witnesses from them.  One prime sieve below
-        6 (2^k_max - 1)/189 + 6 gives the primes and, through the lemma
-        of _smooth, which units below 6q are q-smooth, so k_max is at
-        most 35.  Each row passes the checks of SmoothWitness over the
-        columns (_failed_rows), its n gets a trajectory certificate, and
-        no uncovered prime may divide s1*s2.  The first row to
-        fail, in ascending q, is named through the scalar path: the
-        SmoothWitness built from it, or find_smooth_pair for a prime
-        the search left unresolved.  A composite is covered by closure,
-        with no step of its own: it fails only if a prime factor is a
-        gap, a checked prime left with neither a kept witness nor a
-        certificate, and the first such composite is the least
-        admissible multiple of a gap, named unless a prime below it
-        fails first.  No certificate is built for a prime here;
+        memory, and the driver appends every row to context.rows, so
+        hypothesis 1 takes its multipliers' witnesses from them.  One
+        prime sieve below 6 (2^k_max - 1)/189 + 6 gives the primes and,
+        through the lemma of _smooth, which units below 6q are q-smooth,
+        so k_max is at most 35.  Each row passes the checks of
+        SmoothWitness over the columns (_failed_rows) and its n gets a
+        trajectory certificate.  The first row to fail, in ascending q,
+        is named through the scalar path: the SmoothWitness built from
+        it, or find_smooth_pair for a prime the search left unresolved.
+        Nothing else is checked, by closure: after a passing level
+        every prime up to m_bound has a certificate or a checked row,
+        and W is closed under multiplication, so every admissible
+        composite is in W with no step of its own.  The prime factors
+        of a row's s1*s2 lie below its q, so they are covered too: a
+        failed row at the same level has the lower q and is named
+        first.  No certificate is built for a prime here;
         w_certificate_for_prime builds one from the rows on demand.
     Any failure aborts with the offending k, hypothesis and witness.
     """
@@ -1286,28 +1253,14 @@ def induction_driver(
     reach = reach_one_range(reach_bound)
     flags = prime_flags(6 * (m_limit + 1) - 1)
 
-    def uncovered(p: int) -> bool:
-        return context.recall(p) is None and not context.holds([p])[0]
-
-    def close_composites(below: int) -> None:
-        """Raise for the least composite in (m_done, below) prime to 3 with a prime factor in gaps."""
-        least = below
-        for p in gaps:
-            j = max(2, m_done // p + 1)  # p*j is the least multiple above m_done with j >= 2 ...
-            least = min(least, p * (j + 1 if j % 3 == 0 else j))  # ... and 3 not dividing j
-        if least < below:
-            p = min(p for p in factorize(least) if uncovered(p))
-            raise InductionError(k, 3, least, f"prime factor {p} of {least} has no verified certificate")
-
     m_done = 1
-    gaps: list[int] = []
     for k in range(12, k_max + 1):
         # the level's witnesses, kept before hypothesis 1 needs any
         m_bound = ((1 << k) - 1) // 189
         level = flags[m_done + 1 : m_bound + 1].nonzero()[0] + (m_done + 1)
         certified = np.fromiter(context.certificates, dtype=np.int64, count=len(context.certificates))
         rows = smooth_pair_rows(level[(level != 3) & ~np.isin(level, certified)], flags)
-        context.keep_rows(rows)
+        context.rows.append(rows)
         # hypothesis 1
         if k == 12:
             lines.append(
@@ -1380,16 +1333,10 @@ def induction_driver(
             )
         )
         # hypothesis 3: the rows in columns, the composites by closure
-        # through the gaps (see the docstring)
-        failed = _failed_rows(rows, flags)
-        gaps = [p for p in gaps if uncovered(p)]  # hypothesis 1 may have covered some
-        gaps += [q for q in rows.q[~failed & ~context.holds(rows.q)].tolist() if context.recall(q) is None]
-        unfit = _first_unfit_row(rows, failed, gaps, context)
+        # (see the docstring)
+        unfit = _first_unfit_row(rows, _failed_rows(rows, flags), context)
         if unfit is not None:
-            q, reason = unfit
-            close_composites(q)
-            raise InductionError(k, 3, q, reason)
-        close_composites(m_bound + 1)
+            raise InductionError(k, 3, *unfit)
         admissible = (m_bound - m_bound // 3) - (m_done - m_done // 3)  # 3 does not divide m
         m_done = max(m_done, m_bound)
         lines.append(

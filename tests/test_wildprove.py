@@ -593,7 +593,7 @@ def assert_rows_match(qs, m, monkeypatch):
     assert rows.q.tolist() == qs
     assert not wildsemi.wildprove._failed_rows(rows, flags).any()
     context = WildContext()
-    context.keep_rows(rows)
+    context.rows.append(rows)
     forbid_scalar_search(monkeypatch)
     for i, w in enumerate(expected):
         assert (int(rows.s1[i]), int(rows.s2[i]), int(rows.n[i])) == (w.s1, w.s2, w.n), w.q
@@ -631,20 +631,6 @@ class TestWitnessRows:
     def test_no_primes_make_no_rows(self):
         rows = smooth_pair_rows([], prime_flags(59))
         assert rows.q.size == rows.s1.size == rows.s2.size == rows.n.size == 0
-
-    def test_holds_reads_each_level_up_to_its_ends(self):
-        # a level whose q range misses the asked range is skipped; the
-        # ends of both ranges count as inside
-        context = WildContext()
-        for qs in ([13, 17, 19], [23, 29, 31]):
-            context.keep_rows(smooth_pair_rows(qs, prime_flags(6 * 31)))
-        context.records[37] = find_smooth_pair(37)
-        asked = [11, 13, 19, 23, 31, 37, 41]
-        expected = [False, True, True, True, True, True, False]
-        assert context.holds(asked).tolist() == expected
-        assert [bool(context.holds([q])[0]) for q in asked] == expected
-        assert context.holds([13, 31]).tolist() == [True, True]
-        assert context.holds([]).size == 0
 
     # the column checks refuse each planted row, and the SmoothWitness
     # built from it names the fault
@@ -1244,24 +1230,29 @@ class TestInduction:
             assert "=" in token  # line format stays machine-splittable
 
     def test_hypothesis_three_covers_every_admissible_m(self, monkeypatch):
+        # the column search finds every witness past the seeds 2, 5, 7
+        # and 11 and the primes seeded with a certificate, which are
+        # never searched: a prime's certificate is built from the row the
+        # run checked, and each composite is a product of those primes
+        seeds = {p: w_certificate_for_prime(p, WildContext()) for p in (17, 41)}
         found = record_rows(monkeypatch)
-        ctx = WildContext()
-        induction_driver(14, context=ctx)
+        forbid_scalar_search(monkeypatch)
         m_bound = (2**14 - 1) // 189
         admissible = [m for m in range(2, m_bound + 1) if m % 3 != 0]
         primes = [m for m in admissible if is_prime_int(m)]
-        # the column search found every witness past the seeds 2, 5, 7
-        # and 11: a prime's certificate is built from the row the run
-        # checked, and each composite is a product of those primes
-        assert [q for rows in found for q in rows.q.tolist()] == [p for p in primes if p >= 13]
-        forbid_scalar_search(monkeypatch)
-        for p in primes:
-            cert = w_certificate_for_prime(p, ctx)
-            assert cert.target == p
-            assert verify_certificate(cert).ok
-        for m in sorted(set(admissible) - set(primes)):
-            cert = w_certificate_for_integer(m, ctx)
-            assert cert.target == m and verify_certificate(cert).ok
+        for seeded in ((), (17, 41)):
+            found.clear()
+            ctx = WildContext()
+            ctx.certificates.update((p, seeds[p]) for p in seeded)
+            induction_driver(14, context=ctx)
+            assert [q for rows in found for q in rows.q.tolist()] == [p for p in primes if p >= 13 and p not in seeded]
+            for p in primes:
+                cert = w_certificate_for_prime(p, ctx)
+                assert cert.target == p
+                assert verify_certificate(cert).ok
+            for m in sorted(set(admissible) - set(primes)):
+                cert = w_certificate_for_integer(m, ctx)
+                assert cert.target == m and verify_certificate(cert).ok
 
     def test_each_s_certificate_is_built_once(self, monkeypatch):
         found = record_rows(monkeypatch)
@@ -1317,70 +1308,43 @@ class TestInduction:
         assert spot == "1 12 2 2048 k=12 hypothesis=2 witness=2048: certificate for 2048 failed: planted"
         assert sweep == "1 12 3 19 k=12 hypothesis=3 witness=19: certificate for 19 failed: planted"
 
-    def test_closure_gap_names_the_missing_prime_under_optimize(self):
-        # a forgotten prime's row checks out but is never kept.  No
-        # other witness found up to k = 13 depends on 17, so 34 = 2 * 17
-        # is the first composite whose closure check fails (13 would not
-        # do: the lift multiplier 43 = (2^7 + 1)/3 of hypothesis 1 needs
-        # it); the witness of the prime 31 rests on 23
+    def test_a_column_fault_and_a_trajectory_failure_name_the_lower_q_under_optimize(self):
+        # at k = 12 the rows are 13, 17 and 19, with n = 101, 1 and 152.
+        # One row fails a column check and another row's n gets no
+        # trajectory certificate; whichever q is lower is named, in
+        # either order.  Of two column faults, the lower q is named too
         out = run_optimized(
             """
             import sys
-            from planted_rows import drop
-            from wildsemi.wildprove import InductionError, WildContext, induction_driver
+            from planted_rows import planting
+            from wildsemi import wildprove
+            from wildsemi.wildprove import InductionError, VerificationError, induction_driver
 
-            for forgotten in (17, 23):
-                class Forgetful(WildContext):
-                    def keep_rows(self, rows):
-                        super().keep_rows(drop(rows, {forgotten}))
+            search, build = wildprove.smooth_pair_rows, wildprove.s_certificate_for_integer
 
+            def failing_at(bad):
+                def constructor(n, *args):
+                    if n == bad:
+                        raise VerificationError(f"certificate for {n} failed: planted")
+                    return build(n, *args)
+                return constructor
+
+            n_161, s2_875 = (19, {"n": 161}), (13, {"s1": 1, "s2": 875})
+            for planted, bad in (([n_161], 101), ([s2_875], 152), ([n_161, s2_875], None)):
+                wildprove.smooth_pair_rows = search
+                for q, changes in planted:
+                    wildprove.smooth_pair_rows = planting(wildprove.smooth_pair_rows, q, **changes)
+                wildprove.s_certificate_for_integer = failing_at(bad)
                 try:
-                    induction_driver(13, context=Forgetful())
+                    induction_driver(12)
                 except InductionError as exc:
                     print(sys.flags.optimize, exc.k, exc.hypothesis, exc.witness, exc)
             """
         )
         assert out.splitlines() == [
-            "1 13 3 34 k=13 hypothesis=3 witness=34: prime factor 17 of 34 has no verified certificate",
-            "1 13 3 31 k=13 hypothesis=3 witness=31: prime factor 23 of s1*s2 = 2645 has no verified certificate",
-        ]
-
-    def test_gaps_are_named_at_their_least_composite_under_optimize(self):
-        # a composite has no step of its own: it fails through its least
-        # uncovered prime factor, at the level its least admissible
-        # multiple of a gap falls in.  41 is checked at k = 13 (m <= 43)
-        # and no witness up to k = 14 rests on it, so 82 = 2 * 41 fails
-        # at k = 14; 34 = 2 * 17 comes before 38 = 2 * 19.  A prime
-        # seeded with a certificate is covered and never searched, so
-        # forgetting its row does nothing
-        out = run_optimized(
-            """
-            import sys
-            from planted_rows import drop
-            from wildsemi.wildprove import InductionError, WildContext, induction_driver, w_certificate_for_prime
-
-            asked = []
-            for forgotten, seeded, k_max in (({17, 19}, (), 13), ({41}, (), 14), ({17, 41}, (17, 41), 14)):
-                class Forgetful(WildContext):
-                    def keep_rows(self, rows):
-                        asked.extend(rows.q.tolist())
-                        super().keep_rows(drop(rows, forgotten))
-
-                context = Forgetful()
-                for p in seeded:
-                    context.certificates[p] = w_certificate_for_prime(p, WildContext())
-                asked.clear()
-                try:
-                    induction_driver(k_max, context=context)
-                    print(sys.flags.optimize, "pass", 17 in asked, 41 in asked, 19 in asked)
-                except InductionError as exc:
-                    print(sys.flags.optimize, exc.k, exc.hypothesis, exc.witness, exc)
-            """
-        )
-        assert out.splitlines() == [
-            "1 13 3 34 k=13 hypothesis=3 witness=34: prime factor 17 of 34 has no verified certificate",
-            "1 14 3 82 k=14 hypothesis=3 witness=82: prime factor 41 of 82 has no verified certificate",
-            "1 pass False False True",
+            "1 12 3 13 k=12 hypothesis=3 witness=13: certificate for 101 failed: planted",
+            "1 12 3 13 k=12 hypothesis=3 witness=13: 875 is not a unit below 6q for q = 13",
+            "1 12 3 13 k=12 hypothesis=3 witness=13: 875 is not a unit below 6q for q = 13",
         ]
 
     def test_hypothesis_three_factors_no_admissible_m(self, monkeypatch):
