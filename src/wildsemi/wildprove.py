@@ -93,22 +93,45 @@ def _verified(cert: Certificate, what: str) -> Certificate:
 SIEVE_LIMIT_MAX = 2**31 - 1  # largest sieve limit; pi(x) <= x then fits int32
 
 
-def prime_flags(limit: int) -> np.ndarray:
-    """flags[n] is True exactly for the primes n <= limit, by Eratosthenes.
+def unit_sieve(limit: int) -> np.ndarray:
+    """u[s // 3] is True exactly for the primes 5 <= s <= limit, by Eratosthenes on the units mod 6.
 
-    A limit above SIEVE_LIMIT_MAX is refused before anything is
-    allocated, so every index and prime count of the table fits int32.
+    Only the s prime to 6 have an entry (the 2*3 wheel; Pritchard,
+    "Explaining the wheel sieve", Acta Informatica 17, 1982):
+    s = 6i + 1 at 2i and s = 6i + 5 at 2i + 1, so u is in value order
+    and s = 3j + 1 + (j & 1) at index j.  An index past a non-unit reads
+    a neighbouring unit, so callers ask about units only.  A prime p
+    strikes its multiples p*c for units c >= p, one stride 2p per class
+    mod 6: from p*p (c = p) and from p times the next unit after p.  The
+    top entry, limit // 3, is a unit above the limit unless the limit is
+    1, 2 or 5 mod 6, and is cleared then.  A limit above SIEVE_LIMIT_MAX is
+    refused before anything is allocated, so every unit, index and
+    prime count fits int32.
     """
     import numpy as np
 
     if not 2 <= limit <= SIEVE_LIMIT_MAX:
         raise ValueError(f"sieve limit must be in 2..{SIEVE_LIMIT_MAX}, got {limit}")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
+    top = limit // 3
+    u = np.ones(top + 1, dtype=bool)
+    u[0] = False  # 1
+    if 3 * top + 1 + (top & 1) > limit:
+        u[top] = False
+    for j in range(1, math.isqrt(limit) // 3 + 1):
+        if u[j]:
+            p = 3 * j + 1 + (j & 1)
+            u[p * p // 3 :: 2 * p] = False
+            u[p * (p + 4 - 2 * (j & 1)) // 3 :: 2 * p] = False
+    return u
+
+
+def _primes_in(u: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The primes p >= 5 with lo < p <= hi, ascending int64, off a unit sieve that reaches hi (lo >= 0)."""
+    import numpy as np
+
+    j = np.flatnonzero(u[lo // 3 : hi // 3 + 1]) + lo // 3
+    p = 3 * j + 1 + (j & 1)
+    return p[(p > lo) & (p <= hi)]
 
 
 TRIAL_BOUND = 1000  # factorize and is_prime_int trial-divide by the primes below it
@@ -292,15 +315,15 @@ def _unit_gpf(n: int) -> tuple[np.ndarray, np.ndarray]:
     factor is written last.  An s < 6n has at most one prime factor
     above sqrt(6n), and it is gpf(s): those primes are scattered once
     per cofactor c prime to 6, split by p mod 6 so the class of p*c is
-    known.  The primes come from prime_flags(6n - 1), whose cap
-    SIEVE_LIMIT_MAX keeps every p*c in int32; the flags are dropped
+    known.  The primes come from unit_sieve(6n - 1), whose cap
+    SIEVE_LIMIT_MAX keeps every p*c in int32; the sieve is dropped
     before the gpf arrays exist.
     """
     import numpy as np
 
     limit = 6 * n - 1
     root = math.isqrt(limit)
-    primes = np.flatnonzero(prime_flags(limit))[2:].astype(np.int32)  # from 5 on
+    primes = _primes_in(unit_sieve(limit), 0, limit).astype(np.int32)
     small = int(np.searchsorted(primes, root, side="right"))
     gpf = {r: np.zeros(n, dtype=np.int32) for r in (1, 5)}
     for p in primes[:small].tolist():
@@ -371,34 +394,64 @@ def smooth_majority_range(q_min: int, q_max: int) -> RangeCheckSummary:
     counts[q] > q - 1 is exactly "the q-smooth units fill more than half
     of the phi(6q) = 2(q - 1) invertible classes mod 6q".  Guaranteed for
     q >= 257; smaller primes are allowed so the failure (q = 13 has 9
-    smooth residues against threshold 12) stays demonstrable.
+    smooth residues against threshold 12) stays demonstrable.  The
+    primes come from their own unit sieve to q_max, one mask picks the
+    failures.
+    """
+    counts = smooth_counts_up_to(q_max)
+    qs = _primes_in(unit_sieve(q_max), max(q_min, 5) - 1, q_max)
+    failures = qs[counts[qs] <= qs - 1]
+    return RangeCheckSummary(q_min=q_min, q_max=q_max, checked=len(qs), failures=tuple(failures.tolist()))
+
+
+def _pi_lhs(q_min: int, q_max: int) -> np.ndarray:
+    """(pi(6q) - pi(q)) + (pi(floor(6q/5)) - pi(q)) for every integer q in [q_min, q_max], q_min >= 3, as int32.
+
+    The int32 prefix sum of unit_sieve(6 q_max) counts the primes
+    5..s up to each unit s, which is pi(s) - 2; the 2s cancel in the
+    left side.  pi(6q) - 2 is its entry at 6q - 1, index 2q - 1: one
+    stride-2 slice.  A dense table of pi(x) - 2 for x <= 6 q_max / 5
+    holds the 6-block x = 6m + r in row m, filled from three strided
+    slices of the prefix sum: its entry at 6m - 1 for r = 0, at 6m + 1
+    for r = 1..4 and at 6m + 5 for r = 5.  Read row-major, the table
+    gives pi(q); its first five columns, read row-major, give
+    pi(floor(6q/5)), since floor(6q/5) = 6t + r for q = 5t + r.  No
+    index array is formed, and every temporary is int32.
     """
     import numpy as np
 
-    counts = smooth_counts_up_to(q_max)
-    qs = [q for q in np.flatnonzero(prime_flags(q_max)).tolist() if q >= max(q_min, 5)]
-    failures = tuple(q for q in qs if counts[q] <= q - 1)
-    return RangeCheckSummary(q_min=q_min, q_max=q_max, checked=len(qs), failures=failures)
+    # the sieve runs first, so a q_max it refuses allocates nothing;
+    # the prefix sum is taken in place, as cumsum(u, dtype=np.int32)
+    # would first copy u as int32, a second array of this size
+    counts = unit_sieve(6 * q_max).astype(np.int32)
+    np.cumsum(counts, out=counts)
+    rows = 6 * q_max // 5 // 6 + 1
+    one, five = counts[0 : 2 * rows : 2], counts[1 : 2 * rows : 2]  # at 6m + 1 and 6m + 5
+    dense = np.empty((rows, 6), dtype=np.int32)
+    dense[0, 0] = 0
+    dense[1:, 0] = five[:-1]
+    dense[:, 1:5] = one[:, None]
+    dense[:, 5] = five
+    pi = dense.reshape(-1)
+    lhs = counts[2 * q_min - 1 : 2 * q_max : 2] - pi[q_min : q_max + 1]
+    del counts, one, five
+    lhs -= pi[q_min : q_max + 1]
+    lhs += dense[q_min // 5 : q_max // 5 + 1, :5].reshape(-1)[q_min % 5 : q_min % 5 + lhs.size]
+    return lhs
 
 
 def pi_inequality_range(q_min: int, q_max: int) -> RangeCheckSummary:
-    """The inequality for every integer q in [q_min, q_max], batched."""
+    """The inequality for every integer q in [q_min, q_max], batched (the left side is _pi_lhs)."""
     import numpy as np
 
     if q_min <= 256:
         raise ValueError(f"range must start above 256, got {q_min}")
     if q_min > q_max:
         raise ValueError(f"empty range {q_min}..{q_max}")
-    # counts[x] = pi(x), summed in place: cumsum(flags, dtype=np.int32)
-    # would first copy the flags as int32, a second array of this size
-    counts = prime_flags(6 * q_max).astype(np.int32)
-    np.cumsum(counts, out=counts)
-    qs = np.arange(q_min, q_max + 1, dtype=np.int64)
-    lhs = (counts[6 * qs] - counts[qs]) + (counts[6 * qs // 5] - counts[qs])
-    bad = qs[lhs > qs - 2]
-    return RangeCheckSummary(
-        q_min=q_min, q_max=q_max, checked=len(qs), failures=tuple(int(b) for b in bad)
-    )
+    excess = _pi_lhs(q_min, q_max)
+    excess -= np.arange(q_min - 2, q_max - 1, dtype=np.int32)  # the right side, q - 2
+    bad = np.flatnonzero(excess > 0) + q_min
+    return RangeCheckSummary(q_min=q_min, q_max=q_max, checked=excess.size, failures=tuple(bad.tolist()))
 
 
 @dataclass(frozen=True)
@@ -504,26 +557,27 @@ class WitnessRows:
         return SmoothWitness(q=q, a=a, r=r, s1=s1, s2=s2, k=k, n=int(self.n[i]), factors=factors)
 
 
-def _smooth(s, q, flags: np.ndarray):
-    """Whether s is q-smooth, for a prime q >= 5 and a unit s < 6q prime to q, by the flags of prime_flags.
+def _smooth(s, q, u: np.ndarray):
+    """Whether s is q-smooth, for a prime q >= 5 and a unit s < 6q prime to q, by a unit sieve u (unit_sieve).
 
     A prime factor p >= q of such an s is not q, so p > q, and s/p < 6
     is a unit mod 6: s is p or 5p.  (So the units below 6q that are not
-    q-smooth number (pi(6q) - pi(q)) + (pi(6q/5) - pi(q)).)  Over a
-    multiple of q the verdict is wrong: q and 5q would pass.
+    q-smooth number (pi(6q) - pi(q)) + (pi(6q/5) - pi(q)).)  s and s/5
+    are units, read at s // 3 and s // 15.  Over a multiple of q the
+    verdict is wrong: q and 5q would pass.
     """
-    return ~((flags[s] & (s > q)) | ((s % 5 == 0) & flags[s // 5] & (s // 5 > q)))
+    return ~((u[s // 3] & (s > q)) | ((s % 5 == 0) & u[s // 15] & (s // 5 > q)))
 
 
-def smooth_pair_rows(qs: np.ndarray, flags: np.ndarray) -> WitnessRows:
-    """find_smooth_pair for every prime of qs at once (ascending, each 6q - 1 within the flags of prime_flags).
+def smooth_pair_rows(qs: np.ndarray, u: np.ndarray) -> WitnessRows:
+    """find_smooth_pair for every prime of qs at once (ascending, each 6q - 1 within the unit sieve u).
 
     s1 walks the units 1, 5, 7, 11, ... in lockstep over the primes still
     unresolved.  For a q-smooth s1 prime to q, s1^-1 mod 6q =
     (1 + 6q*t)/s1 with t = -(6q)^-1 mod s1, read off a table of size s1
     at q mod s1, and s2 = r*s1^-1 mod 6q, a unit.  A prime takes the
     first s1 whose s2 is q-smooth too, as find_smooth_pair does, so each
-    row is its witness.  Smoothness is read off the flags (_smooth).
+    row is its witness.  Smoothness is read off u (_smooth).
     """
     import numpy as np
 
@@ -537,14 +591,14 @@ def smooth_pair_rows(qs: np.ndarray, flags: np.ndarray) -> WitnessRows:
     while (todo := todo[mod[todo] > c]).size:
         qt = q[todo]
         # q is prime, so c is prime to q unless q divides it
-        smooth = todo[(c % qt != 0) & _smooth(c, qt, flags)]
+        smooth = todo[(c % qt != 0) & _smooth(c, qt, u)]
         if smooth.size:
             # 6x is invertible mod c for every x = q mod c left: a prime
             # factor of c that divided q would be q itself, not below q
             t = np.array([-pow(6 * x, -1, c) % c if math.gcd(x, c) == 1 else 0 for x in range(c)], dtype=np.int64)
             qc, mc = q[smooth], mod[smooth]
             partner = r[smooth] * ((1 + mc * t[qc % c]) // c) % mc
-            hit = _smooth(partner, qc, flags)
+            hit = _smooth(partner, qc, u)
             s1[smooth[hit]], s2[smooth[hit]] = c, partner[hit]
             todo = todo[s1[todo] == 0]
         c += step
@@ -553,13 +607,13 @@ def smooth_pair_rows(qs: np.ndarray, flags: np.ndarray) -> WitnessRows:
     return WitnessRows(q=q, s1=s1, s2=s2, n=n)
 
 
-def _failed_rows(rows: WitnessRows, flags: np.ndarray) -> np.ndarray:
+def _failed_rows(rows: WitnessRows, u: np.ndarray) -> np.ndarray:
     """failed[i] is False exactly when row i passes every check SmoothWitness makes.
 
     The checks run over the int64 columns as plain comparisons, so they
     hold under python -O.  s1 and s2 must be units below 6q, and then
-    q-smooth by the lemma of _smooth over the flags of prime_flags,
-    which reach 6q - 1 for every q.  An unresolved row fails (0 is no
+    q-smooth by the lemma of _smooth over the unit sieve u, which
+    reaches 6q - 1 for every q.  An unresolved row fails (0 is no
     unit).
     """
     import numpy as np
@@ -575,7 +629,7 @@ def _failed_rows(rows: WitnessRows, flags: np.ndarray) -> np.ndarray:
     for s in (s1, s2):
         failed |= (s <= 0) | (s >= mod) | (np.gcd(s, mod) != 1)
         units = np.flatnonzero(~failed)  # the lemma holds for units only
-        failed[units] |= ~_smooth(s[units], q[units], flags)
+        failed[units] |= ~_smooth(s[units], q[units], u)
     product = s1 * s2
     k, rem = np.divmod(product - r, mod)
     failed |= (rem != 0) | (k < 0) | (k >= mod) | (n != 9 * k + a) | (n >= 54 * q)
@@ -1203,7 +1257,8 @@ def induction_driver(
         the witnesses of the level's primes without a certificate in
         memory, and the driver appends every row to context.rows, so
         hypothesis 1 takes its multipliers' witnesses from them.  One
-        prime sieve below 6 (2^k_max - 1)/189 + 6 gives the primes and,
+        unit sieve (unit_sieve, the units mod 6 only) below
+        6 (2^k_max - 1)/189 + 6 gives the level's primes from 5 on and,
         through the lemma of _smooth, which units below 6q are q-smooth,
         so k_max is at most 35.  Each row passes the checks of
         SmoothWitness over the columns (_failed_rows) and its n gets a
@@ -1225,7 +1280,7 @@ def induction_driver(
     if k_max < 12:
         raise ValueError(f"induction starts at k = 12, got k_max = {k_max}")
     # both bounds are refused before the sweep runs, the reach bound first;
-    # hypothesis 3 reads smoothness from one prime sieve below
+    # hypothesis 3 reads smoothness from one unit sieve below
     # 6 (m_limit + 1), which SIEVE_LIMIT_MAX caps at k_max = 35
     reach_bound = min((1 << k_max) - 2, trajectory_bound)
     _check_reach_bound(reach_bound)
@@ -1251,15 +1306,15 @@ def induction_driver(
         comparison = f"{format_rational(worst)}<{format_rational(ONESTEP_BOUND)}"
 
     reach = reach_one_range(reach_bound)
-    flags = prime_flags(6 * (m_limit + 1) - 1)
+    u = unit_sieve(6 * (m_limit + 1) - 1)
 
     m_done = 1
     for k in range(12, k_max + 1):
         # the level's witnesses, kept before hypothesis 1 needs any
         m_bound = ((1 << k) - 1) // 189
-        level = flags[m_done + 1 : m_bound + 1].nonzero()[0] + (m_done + 1)
+        level = _primes_in(u, m_done, m_bound)
         certified = np.fromiter(context.certificates, dtype=np.int64, count=len(context.certificates))
-        rows = smooth_pair_rows(level[(level != 3) & ~np.isin(level, certified)], flags)
+        rows = smooth_pair_rows(level[~np.isin(level, certified)], u)
         context.rows.append(rows)
         # hypothesis 1
         if k == 12:
@@ -1334,7 +1389,7 @@ def induction_driver(
         )
         # hypothesis 3: the rows in columns, the composites by closure
         # (see the docstring)
-        unfit = _first_unfit_row(rows, _failed_rows(rows, flags), context)
+        unfit = _first_unfit_row(rows, _failed_rows(rows, u), context)
         if unfit is not None:
             raise InductionError(k, 3, *unfit)
         admissible = (m_bound - m_bound // 3) - (m_done - m_done // 3)  # 3 does not divide m

@@ -12,8 +12,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import numpy as np
-
 from wildsemi import wildprove
 from wildsemi.certify import (
     BASE_TARGETS,
@@ -38,11 +36,12 @@ from wildsemi.wildprove import (
     onestep_reduce,
     pi_inequality_range,
     reach_one_range,
-    prime_flags,
     s_certificate_for_rational,
     smooth_majority_range,
     w_certificate_for_prime,
 )
+
+from reference_primes import primes_up_to
 
 SEED = 20260814
 
@@ -159,7 +158,7 @@ def test_acceptance_07_wild_primes_to_400(monkeypatch):
         monkeypatch.setattr(wildprove, "find_smooth_pair", lambda q: witnesses.setdefault(q, find(q)))
         context = WildContext()
         assert set(context.certificates) == {2, 5, 7, 11}
-        for q in np.flatnonzero(prime_flags(399)).tolist():
+        for q in primes_up_to(399):
             if q == 3:
                 continue
             cert = w_certificate_for_prime(q, context)

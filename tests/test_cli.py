@@ -413,6 +413,26 @@ class TestPiCheckCommand:
         assert run(capsys, "pi-check", "200", "300")[0] == EXIT_USAGE
         assert run(capsys, "pi-check", "300", "299")[0] == EXIT_USAGE
 
+    def test_stdout_matches_the_readme_transcript(self, capsys):
+        code, out, _ = run(capsys, "pi-check", "257", "100000")
+        assert code == EXIT_OK
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert out == readme.split("$ wildsemi pi-check 257 100000\n", 1)[1].split("```", 1)[0]
+
+    def test_stdout_under_optimize_matches_the_readme_transcript(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "wildsemi", "pi-check", "257", "100000"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        readme = (root / "README.md").read_text()
+        assert done.stdout == readme.split("$ wildsemi pi-check 257 100000\n", 1)[1].split("```", 1)[0]
+
     def test_sieve_past_int32_is_a_usage_error(self, capsys):
         # 6 * q_max = 2.4e9 needs a sieve past 2^31 - 1; refused before it is built
         code, out, err = run(capsys, "pi-check", "257", "400000000")
@@ -484,7 +504,7 @@ class TestInductCommand:
 
     def test_k_max_beyond_the_sieve_is_refused_before_allocating(self):
         # hypothesis 3 sieves primes below 6 ((2^k_max - 1)/189 + 1),
-        # which fits prime_flags up to k_max = 35; at 36 the refusal
+        # which fits unit_sieve up to k_max = 35; at 36 the refusal
         # comes before any sieve, under the 1 GiB cap and under -O
         def sieve_limit(k):
             return 6 * ((2**k - 1) // 189 + 1) - 1

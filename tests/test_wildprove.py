@@ -50,7 +50,6 @@ from wildsemi.wildprove import (
     lift_minus_one,
     onestep_reduce,
     pi_inequality_range,
-    prime_flags,
     reach_one_range,
     reduction_exponent,
     s_certificate_for_integer,
@@ -60,12 +59,14 @@ from wildsemi.wildprove import (
     smooth_majority_range,
     smooth_pair_rows,
     smooth_residues,
+    unit_sieve,
     w_certificate_for_integer,
     w_certificate_for_prime,
     w_certificate_for_rational,
 )
 from reference_chain import certificate_power, identity_certificate, invert_certificate, multiply_certificates
 from planted_rows import UNRESOLVED, planting
+from reference_primes import eratosthenes, primes_up_to
 from reference_store import listed_index, reference_index
 
 
@@ -154,7 +155,7 @@ def per_prime_smooth_counts(q_max):
     """Reference: the greatest prime factor of every s <= 6*q_max by one slice per prime."""
     limit = 6 * q_max
     gpf = np.zeros(limit + 1, dtype=np.int64)
-    for p in np.flatnonzero(prime_flags(limit)):
+    for p in primes_up_to(limit):
         gpf[p::p] = p
     s = np.arange(limit + 1)
     thresholds = np.maximum(s // 6 + 1, gpf + 1)[(s % 2 == 1) & (s % 3 != 0)]
@@ -234,20 +235,52 @@ def jump_values_above(bound, limit):
     return sorted(above)
 
 
+def unit_values(u):
+    """The unit s mod 6 at each index of a unit sieve: s // 3 is the index."""
+    j = np.arange(u.size)
+    return 3 * j + 1 + (j & 1)
+
+
 class TestPrimeSieve:
     def test_matches_trial_division(self):
-        flags = prime_flags(500)
-        assert np.flatnonzero(flags).tolist() == brute_primes(500)
-        assert flags.tolist() == [is_prime_int(n) for n in range(501)]
+        # every n < 10^5: a unit's entry is its primality, and the primes
+        # the sieve lists are the primes from 5 on
+        u = unit_sieve(10**5 - 1)
+        s = unit_values(u)
+        assert s.tolist() == [n for n in range(10**5 + 2) if n % 2 and n % 3]
+        assert u[:-1].tolist() == [is_prime_int(n) for n in s[:-1].tolist()]
+        assert not u[-1]  # 10^5 + 1 is past the limit
+        listed = wildsemi.wildprove._primes_in(u, 0, 10**5 - 1).tolist()
+        assert listed == [n for n in range(10**5) if n >= 5 and is_prime_int(n)]
+        assert listed[:23] == brute_primes(100)[2:]
+
+    def test_each_limit_ends_at_its_top_entry(self):
+        # the top entry, limit // 3, is a unit past the limit for a limit
+        # 0, 3 or 4 mod 6; every limit 2..60 covers each residue ten times
+        for limit in range(2, 61):
+            u = unit_sieve(limit)
+            assert u.size == limit // 3 + 1, limit
+            expected = [n for n in unit_values(u).tolist() if n <= limit and is_prime_int(n)]
+            assert unit_values(u)[u].tolist() == expected, limit
+
+    def test_primes_between_two_bounds_exclude_the_lower(self):
+        # the driver's levels (m_done, m_bound] and the majority range read this
+        u = unit_sieve(61)
+        primes = primes_up_to(61)
+        for lo in range(62):
+            for hi in range(lo, 62):
+                got = wildsemi.wildprove._primes_in(u, lo, hi).tolist()
+                assert got == [p for p in primes if lo < p <= hi and p >= 5], (lo, hi)
+        assert smooth_majority_range(14, 30).checked == smooth_majority_range(13, 30).checked - 1
 
     def test_pi(self):
-        flags = prime_flags(1000)
-        assert flags[:101].sum() == 25
-        assert flags.sum() == 168
-        assert flags[:2].sum() == 0
+        # 2 and 3 have no entry
+        assert unit_sieve(10**6).sum() + 2 == 78498
+        assert unit_sieve(10**7).sum() + 2 == 664579
+        assert unit_sieve(10**8).sum() + 2 == 5761455
 
     def test_window(self):
-        # the majority range reads the primes of [q_min, q_max] off the flags
+        # the majority range reads the primes of [q_min, q_max] off the unit sieve
         window = (11, 13, 17, 19, 23, 29)
         summary = smooth_majority_range(10, 30)
         assert summary.checked == len(window)
@@ -255,28 +288,32 @@ class TestPrimeSieve:
 
     def test_too_small(self):
         # the table ends at its limit: a read past it raises, it does not answer
-        flags = prime_flags(50)
-        assert len(flags) == 51
+        u = unit_sieve(50)
+        assert len(u) == 17  # the units 1 .. 49
         with pytest.raises(IndexError):
-            flags[51]
+            u[17]
 
     @pytest.mark.parametrize("limit", [2, 3, 100, 9973, 10**5])
     def test_counts_are_int32_prefix_counts(self, limit):
-        counts = np.cumsum(prime_flags(limit), dtype=np.int32)
-        plain = itertools.accumulate(int(is_prime_int(n)) for n in range(limit + 1))
-        assert counts.tolist() == list(plain)
+        # the int32 prefix sum of the unit sieve counts the primes 5..s
+        # up to each unit s, which is pi(s) - 2 for s >= 3
+        counts = np.cumsum(unit_sieve(limit), dtype=np.int32)
+        plain = list(itertools.accumulate(int(n >= 5 and is_prime_int(n)) for n in range(limit + 1)))
+        assert counts.tolist() == [plain[min(s, limit)] for s in unit_values(counts).tolist()]
 
     def test_refuses_a_limit_past_int32_before_allocating(self, monkeypatch):
         def no_allocation(*args, **kwargs):
             raise AssertionError("the sieve allocated before checking its limit")
 
-        monkeypatch.setattr(np, "ones", no_allocation)
-        for limit in (SIEVE_LIMIT_MAX + 1, 6 * 400_000_000, 1):
-            with pytest.raises(ValueError, match="sieve limit"):
-                prime_flags(limit)
+        for name in ("ones", "zeros", "empty", "full"):
+            monkeypatch.setattr(np, name, no_allocation)
+        for limit in (SIEVE_LIMIT_MAX + 1, 6 * 400_000_000, 1, 0, -7):
+            with pytest.raises(ValueError, match=f"^sieve limit must be in 2..2147483647, got {limit}$"):
+                unit_sieve(limit)
 
     def test_trial_primes_match_the_sieve(self):
-        assert SMALL_PRIMES == tuple(np.flatnonzero(prime_flags(TRIAL_BOUND - 1)).tolist())
+        u = unit_sieve(TRIAL_BOUND - 1)
+        assert SMALL_PRIMES == (2, 3) + tuple(unit_values(u)[u].tolist())
         assert len(SMALL_PRIMES) == 168
 
 
@@ -298,7 +335,7 @@ class TestIntegerHelpers:
         assert product == n
 
     def test_is_prime_int(self):
-        flags = prime_flags(300)
+        flags = eratosthenes(300)
         for n in range(301):
             assert is_prime_int(n) == flags[n]
 
@@ -466,10 +503,19 @@ class TestMajorityRoute:
         assert not summary.passed
         assert 5 in summary.failures and 13 in summary.failures
 
+    def test_failures_are_the_primes_at_or_below_half_ties_included(self):
+        # 43, 47 and 53 have exactly q - 1 smooth units, on the failing side
+        counts = per_prime_smooth_counts(400)
+        primes = [q for q in primes_up_to(400) if q >= 5]
+        assert [q for q in primes if counts[q] == q - 1] == [43, 47, 53]
+        summary = smooth_majority_range(5, 400)
+        assert summary.checked == len(primes)
+        assert summary.failures == tuple(q for q in primes if counts[q] <= q - 1)
+
 
 class TestPiRoute:
     def test_spot_values(self):
-        flags = prime_flags(6 * 257)
+        flags = eratosthenes(6 * 257)
         above_q = int(flags[258 : 6 * 257 + 1].sum())  # pi(6q) - pi(q)
         above_q_fifth = int(flags[258 : 6 * 257 // 5 + 1].sum())  # pi(floor(6q/5)) - pi(q)
         assert (above_q, above_q_fifth) == (187, 8)
@@ -495,6 +541,24 @@ class TestPiRoute:
         summary = pi_inequality_range(257, 10**6)
         assert summary.failures == ()
         assert summary.checked == 999744  # every integer in [257, 10^6]
+
+    def test_left_side_is_the_prime_count_for_every_q_to_10_4(self):
+        # pi from is_prime_int, not from any sieve; above 256 the
+        # inequality has room to spare, so the left side is pinned itself
+        pi = list(itertools.accumulate(map(int, map(is_prime_int, range(6 * 10**4 + 1)))))
+        lhs = wildsemi.wildprove._pi_lhs(257, 10**4)
+        assert lhs.dtype == np.int32
+        assert lhs.tolist() == [(pi[6 * q] - pi[q]) + (pi[6 * q // 5] - pi[q]) for q in range(257, 10**4 + 1)]
+
+    def test_left_side_at_every_residue_of_the_range_ends(self):
+        # 30 consecutive q_max put q_max on each residue mod 6 and
+        # floor(6 q_max / 5) = 6 (q_max // 5) + q_max % 5 on each residue
+        # it takes; q_min runs over its residues mod 5 down to q_max
+        pi = list(itertools.accumulate(map(int, map(is_prime_int, range(6 * 3030 + 1)))))
+        for q_max in range(3000, 3030):
+            for q_min in range(q_max - 4, q_max + 1):
+                expected = [(pi[6 * q] - pi[q]) + (pi[6 * q // 5] - pi[q]) for q in range(q_min, q_max + 1)]
+                assert wildsemi.wildprove._pi_lhs(q_min, q_max).tolist() == expected, (q_min, q_max)
 
     def test_range_guards_its_hypothesis(self):
         with pytest.raises(ValueError):
@@ -588,10 +652,10 @@ class TestSmoothPair:
 def assert_rows_match(qs, m, monkeypatch):
     """Each row of the column search, and the witness_record built from it, equals find_smooth_pair."""
     expected = [find_smooth_pair(q) for q in qs]
-    flags = prime_flags(6 * m - 1)
-    rows = smooth_pair_rows(qs, flags)
+    u = unit_sieve(6 * m - 1)
+    rows = smooth_pair_rows(qs, u)
     assert rows.q.tolist() == qs
-    assert not wildsemi.wildprove._failed_rows(rows, flags).any()
+    assert not wildsemi.wildprove._failed_rows(rows, u).any()
     context = WildContext()
     context.rows.append(rows)
     forbid_scalar_search(monkeypatch)
@@ -603,20 +667,21 @@ def assert_rows_match(qs, m, monkeypatch):
 class TestWitnessRows:
     def test_every_prime_to_k_22_matches_the_scalar_search(self, monkeypatch):
         m = (2**22 - 1) // 189
-        assert_rows_match([q for q in np.flatnonzero(prime_flags(m)).tolist() if q >= 13], m, monkeypatch)
+        assert_rows_match([q for q in primes_up_to(m) if q >= 13], m, monkeypatch)
 
     def test_random_primes_at_k_26_match_the_scalar_search(self, rng, monkeypatch):
         m = (2**26 - 1) // 189
-        primes = [q for q in np.flatnonzero(prime_flags(m)).tolist() if q >= 13]
+        primes = [q for q in primes_up_to(m) if q >= 13]
         assert_rows_match(sorted(rng.sample(primes, 500)), m, monkeypatch)
 
     def test_smoothness_lemma_matches_the_gpf_sieve_and_the_prime_count(self):
         # for every prime 5 <= q <= 10^4 and every s < 6q prime to 6q,
-        # the flags' verdict is gpf(s) < q; the s that are not q-smooth
-        # number (pi(6q) - pi(q)) + (pi(6q/5) - pi(q)), the left side of
-        # the pi-inequality
+        # the unit sieve's verdict is gpf(s) < q; the s that are not
+        # q-smooth number (pi(6q) - pi(q)) + (pi(6q/5) - pi(q)), the left
+        # side of the pi-inequality (pi from the reference sieve)
         q_max = 10**4
-        flags = prime_flags(6 * q_max)
+        flags = eratosthenes(6 * q_max)
+        u = unit_sieve(6 * q_max)
         pi = np.cumsum(flags)
         gpf = np.zeros(6 * q_max, dtype=np.int64)
         gpf[1::6], gpf[5::6] = wildsemi.wildprove._unit_gpf(q_max)
@@ -624,12 +689,12 @@ class TestWitnessRows:
         for q in np.flatnonzero(flags[: q_max + 1]).tolist()[2:]:  # from 5 on
             s = units[: 2 * q]
             s = s[s % q != 0]
-            smooth = wildsemi.wildprove._smooth(s, q, flags)
+            smooth = wildsemi.wildprove._smooth(s, q, u)
             assert np.array_equal(smooth, gpf[s] < q), q
             assert (~smooth).sum() == (pi[6 * q] - pi[q]) + (pi[6 * q // 5] - pi[q]), q
 
     def test_no_primes_make_no_rows(self):
-        rows = smooth_pair_rows([], prime_flags(59))
+        rows = smooth_pair_rows([], unit_sieve(59))
         assert rows.q.size == rows.s1.size == rows.s2.size == rows.n.size == 0
 
     # the column checks refuse each planted row, and the SmoothWitness
@@ -734,7 +799,7 @@ class TestWCertificates:
         # every prime < 400 except 3 assembles from the seeds 2, 5, 7, 11
         built = record_witnesses(monkeypatch)
         ctx = WildContext()
-        for q in np.flatnonzero(prime_flags(400)).tolist():
+        for q in primes_up_to(400):
             if q == 3:
                 continue
             assert verify_certificate(w_certificate_for_prime(q, ctx)).ok
@@ -1177,7 +1242,7 @@ class TestReachOne:
                 except wildprove.BudgetExhaustedError as exc:
                     print(f"{sys.flags.optimize} {exc}")
             try:
-                wildprove.prime_flags(2**31)
+                wildprove.unit_sieve(2**31)
             except ValueError as exc:
                 print(f"{sys.flags.optimize} {exc}")
             """
