@@ -538,9 +538,10 @@ class WitnessRows:
     """The smooth witnesses of many primes as int64 columns, q ascending.
 
     Row i holds q[i], s1[i], s2[i] and n[i]; s1[i] = 0 marks a prime the
-    search left unresolved.  Nothing in a row is trusted: the driver
-    checks the columns, and witness(i) factors s1*s2 and builds the
-    SmoothWitness, which checks itself.
+    search left unresolved.  Nothing in a row is trusted: hypothesis 3
+    checks a level's columns and drops them with the level, and
+    witness(i) factors s1*s2 and builds the SmoothWitness, which checks
+    itself, to name a failed row.
     """
 
     q: np.ndarray
@@ -700,15 +701,14 @@ class WildContext:
     Holds verified W-certificates keyed by integer target (seeded with
     2, 5, 7, 11 only, verified here; the other built-ins are
     reconstructed, not assumed), verified trajectory S-certificates
-    keyed by integer, every witness row the induction driver searched
-    (it appends each level's rows itself), the smooth witness of each
-    prime one was asked for (a row's is built on demand, factoring its
-    s1*s2 once), the coverage table, the trajectory budget, and an
+    keyed by integer, the coverage table, the trajectory budget, and an
     optional persistent store: remember writes each certificate's one
     file there, and recall loads a file (re-verified by the store) when
-    the cache misses.  The driver searches every prime of a level
-    without a certificate in memory, so one only in the store costs a
-    checked row, not a load.
+    the cache misses.  No witness is kept: the induction driver's rows
+    live only while their level is checked, and a prime's witness is
+    found when its certificate is built.  The driver searches every
+    prime of a level without a certificate in memory, so one only in the
+    store costs a checked row, not a load.
     """
 
     def __init__(
@@ -726,8 +726,6 @@ class WildContext:
         for seed in (5, 7, 11):
             self.certificates[seed] = _verified(base_certificate(seed), f"seed certificate for {seed}")
         self.s_certificates: dict[int, Certificate] = {}
-        self.rows: list[WitnessRows] = []
-        self.records: dict[int, SmoothWitness] = {}
 
     @property
     def coverage(self) -> CoverageTable:
@@ -742,26 +740,6 @@ class WildContext:
             cert = s_certificate_for_integer(n, self.trajectory_budget)
             self.s_certificates[n] = cert
         return cert
-
-    def witness_record(self, q: int) -> SmoothWitness:
-        """The smooth witness of the prime q, built once per context.
-
-        It comes from a kept row when one resolved q, else from
-        find_smooth_pair.  The witness carries the factorization of its
-        s1*s2 and checked it, and the identity q = (1/n) g(l) s1 s2,
-        when it was built.
-        """
-        witness = self.records.get(q)
-        if witness is None:
-            for rows in self.rows:
-                i = int(rows.q.searchsorted(q))
-                if i < rows.q.size and rows.q[i] == q and rows.s1[i]:
-                    witness = rows.witness(i)
-                    break
-            else:
-                witness = find_smooth_pair(q)
-            self.records[q] = witness
-        return witness
 
     def remember(self, m: int, cert: Certificate) -> None:
         self.certificates[m] = cert
@@ -823,11 +801,11 @@ def _witness_certificate(witness: SmoothWitness, context: WildContext) -> Certif
 def w_certificate_for_prime(q: int, context: Optional[WildContext] = None) -> Certificate:
     """A verified W-certificate for a prime q != 3.
 
-    Recursion on the largest prime, run iteratively: take the witness
-    record of each prime (context.witness_record, reused when the
-    induction driver already checked it) until every dependency is a
-    cached prime, then assemble in ascending order.  Only 2, 5, 7 and
-    11 are consumed as built-ins.
+    Recursion on the largest prime, run iteratively: find the smooth
+    witness of each prime without a certificate (find_smooth_pair, the
+    witness the induction driver's column search checks for it) until
+    every dependency is a cached prime, then assemble in ascending
+    order.  Only 2, 5, 7 and 11 are consumed as built-ins.
     """
     if context is None:
         context = WildContext()
@@ -844,7 +822,7 @@ def w_certificate_for_prime(q: int, context: Optional[WildContext] = None) -> Ce
         p = pending.pop()
         if p in needed or context.recall(p) is not None:
             continue
-        needed[p] = context.witness_record(p)
+        needed[p] = find_smooth_pair(p)
         for dep, _ in needed[p].factors:
             if context.recall(dep) is None:
                 pending.append(dep)  # dep < p, so this terminates
@@ -1240,6 +1218,47 @@ def _first_unfit_row(rows: WitnessRows, failed: np.ndarray, context: WildContext
     return q, "the witness columns fail a check that the scalar path passes"
 
 
+def _hypothesis_three(k: int, m_done: int, u: np.ndarray, context: WildContext) -> InductionLine:
+    """Hypothesis 3 at level k: every m in (m_done, (2^k - 1)/189] with 3 not dividing m is wild.
+
+    One column search (smooth_pair_rows) finds the witnesses of the
+    level's primes from 5 on without a certificate in memory, read off
+    the unit sieve u, which reaches 6 (2^k - 1)/189 + 5.  Each row passes
+    the checks of SmoothWitness over the columns (_failed_rows) and its n
+    gets a trajectory certificate; the first row to fail, in ascending q,
+    is named through the scalar path (_first_unfit_row) as an
+    InductionError.  The rows are this function's own, checked and
+    dropped with the level.  Nothing else is checked, by closure: after
+    a passing level every prime up to the bound has a certificate or a
+    checked row, and W is closed under multiplication, so every
+    admissible composite is in W with no step of its own.  The prime
+    factors of a row's s1*s2 lie below its q, so they are covered too: a
+    failed row at the same level has the lower q and is named first.
+    No certificate is built here; w_certificate_for_prime builds one on
+    demand from find_smooth_pair, which finds the witness the row holds.
+    """
+    import numpy as np
+
+    m_bound = ((1 << k) - 1) // 189
+    level = _primes_in(u, m_done, m_bound)
+    certified = np.fromiter(context.certificates, dtype=np.int64, count=len(context.certificates))
+    rows = smooth_pair_rows(level[~np.isin(level, certified)], u)
+    unfit = _first_unfit_row(rows, _failed_rows(rows, u), context)
+    if unfit is not None:
+        raise InductionError(k, 3, *unfit)
+    admissible = (m_bound - m_bound // 3) - (m_done - m_done // 3)  # 3 does not divide m
+    return InductionLine(
+        k=k,
+        hypothesis=3,
+        kind="sweep",
+        status="pass",
+        details=(
+            ("m_bound", str(m_bound)),
+            ("new_certificates", str(admissible)),
+        ),
+    )
+
+
 def induction_driver(
     k_max: int,
     trajectory_bound: int = DEFAULT_TRAJECTORY_BOUND,
@@ -1252,31 +1271,13 @@ def induction_driver(
         for the strata -1 mod 2^t (t = k-1) above it;
     (2) every 1 <= n <= 2^k - 2 reaches 1 (capped by the trajectory
         bound), with spot-built certificates;
-    (3) every m <= (2^k - 1)/189 with 3 not dividing m is wild.  At the
-        start of each level, one column search (smooth_pair_rows) finds
-        the witnesses of the level's primes without a certificate in
-        memory, and the driver appends every row to context.rows, so
-        hypothesis 1 takes its multipliers' witnesses from them.  One
+    (3) every m <= (2^k - 1)/189 with 3 not dividing m is wild, by one
+        column search per level and closure (_hypothesis_three).  One
         unit sieve (unit_sieve, the units mod 6 only) below
-        6 (2^k_max - 1)/189 + 6 gives the level's primes from 5 on and,
-        through the lemma of _smooth, which units below 6q are q-smooth,
-        so k_max is at most 35.  Each row passes the checks of
-        SmoothWitness over the columns (_failed_rows) and its n gets a
-        trajectory certificate.  The first row to fail, in ascending q,
-        is named through the scalar path: the SmoothWitness built from
-        it, or find_smooth_pair for a prime the search left unresolved.
-        Nothing else is checked, by closure: after a passing level
-        every prime up to m_bound has a certificate or a checked row,
-        and W is closed under multiplication, so every admissible
-        composite is in W with no step of its own.  The prime factors
-        of a row's s1*s2 lie below its q, so they are covered too: a
-        failed row at the same level has the lower q and is named
-        first.  No certificate is built for a prime here;
-        w_certificate_for_prime builds one from the rows on demand.
+        6 (2^k_max - 1)/189 + 6 serves every level, so k_max is at most
+        35.  No level's witness rows outlive its check.
     Any failure aborts with the offending k, hypothesis and witness.
     """
-    import numpy as np
-
     if k_max < 12:
         raise ValueError(f"induction starts at k = 12, got k_max = {k_max}")
     # both bounds are refused before the sweep runs, the reach bound first;
@@ -1310,12 +1311,6 @@ def induction_driver(
 
     m_done = 1
     for k in range(12, k_max + 1):
-        # the level's witnesses, kept before hypothesis 1 needs any
-        m_bound = ((1 << k) - 1) // 189
-        level = _primes_in(u, m_done, m_bound)
-        certified = np.fromiter(context.certificates, dtype=np.int64, count=len(context.certificates))
-        rows = smooth_pair_rows(level[~np.isin(level, certified)], u)
-        context.rows.append(rows)
         # hypothesis 1
         if k == 12:
             lines.append(
@@ -1387,23 +1382,6 @@ def induction_driver(
                 ),
             )
         )
-        # hypothesis 3: the rows in columns, the composites by closure
-        # (see the docstring)
-        unfit = _first_unfit_row(rows, _failed_rows(rows, u), context)
-        if unfit is not None:
-            raise InductionError(k, 3, *unfit)
-        admissible = (m_bound - m_bound // 3) - (m_done - m_done // 3)  # 3 does not divide m
-        m_done = max(m_done, m_bound)
-        lines.append(
-            InductionLine(
-                k=k,
-                hypothesis=3,
-                kind="sweep",
-                status="pass",
-                details=(
-                    ("m_bound", str(m_bound)),
-                    ("new_certificates", str(admissible)),
-                ),
-            )
-        )
+        lines.append(_hypothesis_three(k, m_done, u, context))
+        m_done = ((1 << k) - 1) // 189
     return InductionReport(k_min=12, k_max=k_max, lines=tuple(lines))

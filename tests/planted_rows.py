@@ -1,7 +1,8 @@
 """Witness rows with faults planted in them, for the induction driver's tests.
 
-The driver reads each level's rows from `wildprove.smooth_pair_rows`;
-`planting` wraps that search so it returns the row of one prime changed.
+Hypothesis 3 reads each level's rows from `wildprove.smooth_pair_rows`;
+`planting` wraps that search, `smooth_pair_rows(qs, u)`, so it returns
+the row of one prime changed.
 """
 
 import numpy as np
@@ -23,8 +24,8 @@ def plant(rows, q, **changes):
 def planting(search, q, **changes):
     """A stand-in for smooth_pair_rows that plants changes into the row of q, when q is searched."""
 
-    def planted(qs, flags):
-        rows = search(qs, flags)
+    def planted(qs, u):
+        rows = search(qs, u)
         return plant(rows, q, **changes) if q in rows.q else rows
 
     return planted

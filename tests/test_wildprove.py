@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -174,15 +175,8 @@ def record_rows(monkeypatch):
     """The witness rows the column search returns from here on, one WitnessRows per call."""
     found = []
     search = wildsemi.wildprove.smooth_pair_rows
-    monkeypatch.setattr(
-        wildsemi.wildprove, "smooth_pair_rows", lambda qs, flags: found.append(search(qs, flags)) or found[-1]
-    )
+    monkeypatch.setattr(wildsemi.wildprove, "smooth_pair_rows", lambda qs, u: found.append(search(qs, u)) or found[-1])
     return found
-
-
-def forbid_scalar_search(monkeypatch):
-    """find_smooth_pair fails the test from here on."""
-    monkeypatch.setattr(wildsemi.wildprove, "find_smooth_pair", lambda q: pytest.fail(f"searched {q} one at a time"))
 
 
 def loop_reach_one(bound):
@@ -649,30 +643,27 @@ class TestSmoothPair:
         assert 2 * w.l + 1 == w.s1 * w.s2
 
 
-def assert_rows_match(qs, m, monkeypatch):
-    """Each row of the column search, and the witness_record built from it, equals find_smooth_pair."""
+def assert_rows_match(qs, m):
+    """Each row of the column search, and the witness built from it, equals find_smooth_pair."""
     expected = [find_smooth_pair(q) for q in qs]
     u = unit_sieve(6 * m - 1)
     rows = smooth_pair_rows(qs, u)
     assert rows.q.tolist() == qs
     assert not wildsemi.wildprove._failed_rows(rows, u).any()
-    context = WildContext()
-    context.rows.append(rows)
-    forbid_scalar_search(monkeypatch)
     for i, w in enumerate(expected):
         assert (int(rows.s1[i]), int(rows.s2[i]), int(rows.n[i])) == (w.s1, w.s2, w.n), w.q
-        assert rows.witness(i) == context.witness_record(w.q) == w, w.q  # factors included
+        assert rows.witness(i) == w, w.q  # factors included
 
 
 class TestWitnessRows:
-    def test_every_prime_to_k_22_matches_the_scalar_search(self, monkeypatch):
+    def test_every_prime_to_k_22_matches_the_scalar_search(self):
         m = (2**22 - 1) // 189
-        assert_rows_match([q for q in primes_up_to(m) if q >= 13], m, monkeypatch)
+        assert_rows_match([q for q in primes_up_to(m) if q >= 13], m)
 
-    def test_random_primes_at_k_26_match_the_scalar_search(self, rng, monkeypatch):
+    def test_random_primes_at_k_26_match_the_scalar_search(self, rng):
         m = (2**26 - 1) // 189
         primes = [q for q in primes_up_to(m) if q >= 13]
-        assert_rows_match(sorted(rng.sample(primes, 500)), m, monkeypatch)
+        assert_rows_match(sorted(rng.sample(primes, 500)), m)
 
     def test_smoothness_lemma_matches_the_gpf_sieve_and_the_prime_count(self):
         # for every prime 5 <= q <= 10^4 and every s < 6q prime to 6q,
@@ -1295,22 +1286,38 @@ class TestInduction:
             assert "=" in token  # line format stays machine-splittable
 
     def test_hypothesis_three_covers_every_admissible_m(self, monkeypatch):
-        # the column search finds every witness past the seeds 2, 5, 7
-        # and 11 and the primes seeded with a certificate, which are
-        # never searched: a prime's certificate is built from the row the
-        # run checked, and each composite is a product of those primes
+        # each level searches exactly its primes without a certificate in
+        # memory when it searches, past the seeds 2, 5, 7 and 11: 43 is
+        # certified by hypothesis 1 at k = 13 before its level searches,
+        # and 17 and 41 are seeded in the second run.  So every prime
+        # from 13 on gets at most one row, and a row or a certificate; a
+        # prime's certificate is built from find_smooth_pair, the witness
+        # its row held, and each composite is a product of those primes
         seeds = {p: w_certificate_for_prime(p, WildContext()) for p in (17, 41)}
-        found = record_rows(monkeypatch)
-        forbid_scalar_search(monkeypatch)
-        m_bound = (2**14 - 1) // 189
-        admissible = [m for m in range(2, m_bound + 1) if m % 3 != 0]
+        search = wildsemi.wildprove.smooth_pair_rows
+        searched = []
+
+        def search_noting_certificates(qs, u):
+            rows = search(qs, u)
+            searched.append((set(ctx.certificates), rows.q.tolist()))
+            return rows
+
+        monkeypatch.setattr(wildsemi.wildprove, "smooth_pair_rows", search_noting_certificates)
+        bounds = [1] + [(2**k - 1) // 189 for k in (12, 13, 14)]
+        admissible = [m for m in range(2, bounds[-1] + 1) if m % 3 != 0]
         primes = [m for m in admissible if is_prime_int(m)]
         for seeded in ((), (17, 41)):
-            found.clear()
+            searched.clear()
             ctx = WildContext()
             ctx.certificates.update((p, seeds[p]) for p in seeded)
             induction_driver(14, context=ctx)
-            assert [q for rows in found for q in rows.q.tolist()] == [p for p in primes if p >= 13 and p not in seeded]
+            assert len(searched) == 3  # one search per level
+            rowed = [q for _, qs in searched for q in qs]
+            assert len(rowed) == len(set(rowed))
+            for (certified, qs), lo, hi in zip(searched, bounds, bounds[1:]):
+                level = [p for p in primes if lo < p <= hi and p >= 5]
+                assert qs == [p for p in level if p not in certified], hi
+            assert {p for p in primes if p >= 13} - set(rowed) == {43, *seeded}
             for p in primes:
                 cert = w_certificate_for_prime(p, ctx)
                 assert cert.target == p
@@ -1415,27 +1422,29 @@ class TestInduction:
     def test_hypothesis_three_factors_no_admissible_m(self, monkeypatch):
         # only hypothesis 1's first use of each one-step multiplier
         # factors: w_certificate_for_integer factors the multiplier, and
-        # each prime's witness, built from the kept rows on demand,
-        # factors its s1*s2 once (43 = (1/n) g(l) * 11 * 13 rests on 13).
-        # The driver, the column search and the column checks factor no m
+        # find_smooth_pair factors the candidates for its witness and
+        # for those of the primes it rests on (43 = (1/n) g(l) * 11 * 13
+        # rests on 13).  The driver, the column search, the column checks
+        # and the naming of a failed row factor no m
         factorize = wildsemi.wildprove.factorize
         calls = []
 
         def counted(n):
-            caller = sys._getframe(1)
-            calls.append((caller.f_code.co_name, caller.f_back.f_code.co_name, n))
+            frame, callers = sys._getframe(1), []
+            while frame is not None:
+                callers.append(frame.f_code.co_name)
+                frame = frame.f_back
+            calls.append((callers, n))
             return factorize(n)
 
         monkeypatch.setattr(wildsemi.wildprove, "factorize", counted)
-        forbid_scalar_search(monkeypatch)
         induction_driver(18)
-        assert calls == [
-            ("w_certificate_for_integer", "onestep_reduce", 43),
-            ("witness", "witness_record", 11 * 13),  # the witness of 43
-            ("witness", "witness_record", 25 * 35),  # of 13
-            ("w_certificate_for_integer", "onestep_reduce", 29),
-            ("witness", "witness_record", 7 * 11),  # of 29
-        ]
+        hypothesis_three = {"_hypothesis_three", "smooth_pair_rows", "_failed_rows", "_first_unfit_row"}
+        for callers, n in calls:
+            assert callers[0] != "induction_driver" and not hypothesis_three & set(callers), (callers, n)
+            assert "onestep_reduce" in callers, (callers, n)
+        multipliers = [n for callers, n in calls if callers[:2] == ["w_certificate_for_integer", "onestep_reduce"]]
+        assert multipliers == [43, 29]
 
     def test_wrong_witness_names_k_hypothesis_and_prime_under_optimize(self):
         # the row of 19 comes back with n = 152 + 9, so it fails the
@@ -1455,6 +1464,24 @@ class TestInduction:
             """
         )
         assert out.splitlines() == ["1 12 3 19 k=12 hypothesis=3 witness=19: n = 161 is not 9k + a < 54q"]
+
+    def test_no_level_witness_rows_outlive_the_level(self, monkeypatch):
+        # the test holds only weak references to the rows the column
+        # search returns, so once the driver returns, with its context
+        # still alive, no level's rows may be reachable from anything
+        search = wildsemi.wildprove.smooth_pair_rows
+        refs = []
+
+        def search_held_weakly(qs, u):
+            rows = search(qs, u)
+            refs.append(weakref.ref(rows))
+            return rows
+
+        monkeypatch.setattr(wildsemi.wildprove, "smooth_pair_rows", search_held_weakly)
+        ctx = WildContext()
+        induction_driver(14, context=ctx)
+        assert len(refs) == 3 and len(ctx.certificates) > 4
+        assert [ref() for ref in refs] == [None, None, None]
 
     def test_certificates_from_records_match_the_multiply_chain(self, monkeypatch):
         found = record_rows(monkeypatch)
